@@ -9,35 +9,12 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass
 
 from . import debruijn, residues, search
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
-
-
-@dataclass(frozen=True)
-class CorpusRow:
-    line: int
-    k: int
-    x: int
-    y: int
-    z: int
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    k: int
-    x: int
-    y: int
-    z: int
-    valid: bool
-    residue_class: int
-    path: str        # canonical spelling, e.g. "8+8+8"
-    signed: str      # sign-aware spelling, e.g. "-1-1+8"
-    diagnostic: str  # set instead of path when valid is False
 
 
 def _alphabet(text: str) -> debruijn.Alphabet:
@@ -152,9 +129,10 @@ def cmd_search(args) -> tuple[int, str]:
 
 
 def cmd_scan(args) -> tuple[int, str]:
-    bounds = search.SearchBounds(args.bound, (args.k_from, args.k_to))
-    workers = args.workers if args.workers is not None else search.available_workers()
-    results = search.scan_range(bounds, workers=workers)
+    if args.k_from > args.k_to:
+        raise search.SearchBoundsError(
+            f"--from {args.k_from} is greater than --to {args.k_to}")
+    results = search.scan_range(search.SearchBounds(args.bound, (args.k_from, args.k_to)))
     lines = []
     _emit_csv(args.out, CSV_HEADER, _representation_rows(results), lines)
     skipped = found = 0
@@ -183,22 +161,21 @@ def cmd_verify_corpus(args) -> tuple[int, str]:
     parse_errors = invalid = valid = 0
     for i, raw in enumerate(raw_rows, start=2):  # line 1 is the header
         try:
-            row = CorpusRow(i, *(int(str(raw[c]).strip()) for c in ("k", "x", "y", "z")))
+            k, x, y, z = (int(str(raw[c]).strip()) for c in ("k", "x", "y", "z"))
         except (TypeError, ValueError):
             parse_errors += 1
             lines.append(f"line {i}: parse error in {raw!r}")
             continue
         try:
-            rep = search.verify(row.x, row.y, row.z, row.k)
+            rep = search.verify(x, y, z, k)
         except residues.CubeSumMismatch as err:
             invalid += 1
-            lines.append(f"line {i}: k={row.k} ({row.x},{row.y},{row.z}) "
-                         f"INVALID sum={err.actual_sum}")
+            lines.append(f"line {i}: k={k} ({x},{y},{z}) INVALID sum={err.actual_sum}")
             continue
         valid += 1
-        signed = residues.signed_spelling_for(row.x, row.y, row.z)
-        lines.append(f"line {i}: k={row.k} ({row.x},{row.y},{row.z}) OK "
-                     f"class={residues.class_of(row.k)} "
+        signed = residues.signed_spelling_for(x, y, z)
+        lines.append(f"line {i}: k={k} ({x},{y},{z}) OK "
+                     f"class={residues.class_of(k)} "
                      f"path={rep.path.spell()} signed={signed.spell()}")
 
     lines.append(f"{valid} valid, {invalid} invalid, {parse_errors} parse error(s)")
@@ -249,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--out", metavar="FILE.csv")
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: all cores; output is "
-                        "identical for any worker count)")
+                   help="kept for compatibility; has no effect (the scan is "
+                        "one in-process sweep, output is identical for any value)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify-corpus", help="verify a CSV of claimed "
@@ -272,6 +249,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, text = args.func(args)
+    except residues.CubeSumMismatch:
+        raise  # a search hit that fails its exact recheck is a bug, not bad input
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

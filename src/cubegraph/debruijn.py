@@ -85,10 +85,6 @@ class DeBruijnGraph:
             raise ValueError(f"edges not in graph: {sorted(edges - self.edges)}")
         return DeBruijnGraph(self.alphabet, self.order, edges)
 
-    def out_edges(self, node: str) -> list[str]:
-        key = self.alphabet.sort_key
-        return sorted((e for e in self.edges if e[:-1] == node), key=key)
-
 
 def build_graph(alphabet: Alphabet, order: int) -> DeBruijnGraph:
     """Full De Bruijn graph: all k^(n-1) nodes and all k^n edges."""

@@ -1,16 +1,18 @@
 """Bounded search and exact verification of x^3 + y^3 + z^3 = k.
 
-Search strategy: for each candidate z in [-B, B], solve x^3 + y^3 = k - z^3
-with a two-pointer sweep over the sorted cube table, restricted to x <= y <= z
-so every solution multiset is found exactly once.  Two mod-9 sieves prune the
-work: targets in class 4 or 5 are skipped outright, and z values whose pair
+Search strategy: one windowed sweep serves a single k and a whole k interval
+[k_lo, k_hi].  The cube table is built once; for each candidate z in [-B, B]
+a two-pointer pass over it collects every pair x <= y <= z whose x^3 + y^3
+falls in the window [k_lo - z^3, k_hi - z^3], so every solution multiset is
+found exactly once and the whole interval costs O(B^2 + hits).  A single k is
+the window of width 1.  Two mod-9 sieves prune the work: targets in class 4
+or 5 are skipped outright, and for a width-1 window, z values whose pair
 target is unreachable by two cubic residues are dropped.  Verification is
 plain Python integers throughout, so literature-scale solutions with
 16+ digit terms check exactly.
 """
 
-import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .residues import ResidueTriple, is_feasible, label_solution
@@ -85,6 +87,44 @@ class SearchResult:
     stats: SearchStats
 
 
+def _sweep(k_lo: int, k_hi: int, B: int) -> tuple[dict[int, list[tuple[int, int, int]]], int, int]:
+    """Every canonical (x, y, z) with |x|,|y|,|z| <= B and k_lo <= x^3+y^3+z^3 <= k_hi,
+    bucketed by cube sum in no particular order, plus the pairs scanned and
+    the z values pruned (only a width-1 window prunes)."""
+    cubes = [i * i * i for i in range(-B, B + 1)]  # strictly increasing
+    prune = k_lo == k_hi
+    found = defaultdict(list)
+    pairs = 0
+    pruned = 0
+    for zi in range(2 * B + 1):
+        z3 = cubes[zi]
+        bot, top = k_lo - z3, k_hi - z3
+        if prune and bot % 9 not in TWO_CUBE_CLASSES:
+            pruned += 1
+            continue
+        lo, hi = 0, zi  # x <= y <= z: pair values never exceed cubes[zi]
+        while lo <= hi:
+            pairs += 1
+            s = cubes[lo] + cubes[hi]
+            if s > top:
+                hi -= 1
+            elif s < bot:
+                lo += 1
+            else:  # every y in [lo, hi] whose pair sum stays in the window
+                x3, j = cubes[lo], hi
+                while j >= lo and x3 + cubes[j] >= bot:
+                    found[x3 + cubes[j] + z3].append((lo - B, j - B, zi - B))
+                    j -= 1
+                if s == top:  # (lo', hi) overshoots the window for every lo' > lo
+                    hi -= 1
+                lo += 1
+    return found, pairs, pruned
+
+
+def _verified(k: int, triples: list[tuple[int, int, int]]) -> tuple[Representation, ...]:
+    return tuple(verify(x, y, z, k) for x, y, z in sorted(triples))  # exact recheck of every hit
+
+
 def search_k(k: int, bounds: SearchBounds | int) -> SearchResult:
     """All representations of k with |x|,|y|,|z| <= bound, deduplicated under
     x <= y <= z and sorted; skipped without work when k is in class 4 or 5."""
@@ -92,60 +132,22 @@ def search_k(k: int, bounds: SearchBounds | int) -> SearchResult:
         bounds = SearchBounds(bounds)
     if not is_feasible(k):
         return SearchResult(k, (), True, SearchStats())
-
-    B = bounds.bound
-    cubes = [i * i * i for i in range(-B, B + 1)]  # strictly increasing
-    reachable = TWO_CUBE_CLASSES
-    found: list[tuple[int, int, int]] = []
-    pairs = 0
-    pruned = 0
-    for zi in range(2 * B + 1):
-        target = k - cubes[zi]
-        if target % 9 not in reachable:
-            pruned += 1
-            continue
-        lo, hi = 0, zi  # x <= y <= z: pair values never exceed cubes[zi]
-        while lo <= hi:
-            pairs += 1
-            s = cubes[lo] + cubes[hi]
-            if s == target:
-                found.append((lo - B, hi - B, zi - B))
-                lo += 1
-                hi -= 1
-            elif s < target:
-                lo += 1
-            else:
-                hi -= 1
-
-    found.sort()
-    reps = tuple(verify(x, y, z, k) for x, y, z in found)  # exact recheck of every hit
-    return SearchResult(k, reps, False, SearchStats(pairs, pruned))
-
-
-def _scan_worker(args: tuple[int, int]) -> SearchResult:
-    k, bound = args
-    return search_k(k, SearchBounds(bound))
+    found, pairs, pruned = _sweep(k, k, bounds.bound)
+    return SearchResult(k, _verified(k, found[k]), False, SearchStats(pairs, pruned))
 
 
 def scan_range(bounds: SearchBounds, workers: int | None = None) -> list[SearchResult]:
-    """One SearchResult per k in bounds.k_range, in order.  With workers > 1
-    the per-k searches run in separate processes; results are collected in
-    submission order, so output is identical to a sequential scan."""
+    """One SearchResult per k in bounds.k_range, in k order, from a single
+    windowed sweep over the whole range.  Infeasible k (class 4 or 5) come
+    back skipped; every result carries an empty SearchStats(), because the
+    sweep's work is shared across k.  `workers` is accepted for
+    compatibility and has no effect: output is the same for any value."""
     if bounds.k_range is None:
         raise SearchBoundsError("scan_range needs bounds.k_range")
     start, stop = bounds.k_range
-    ks = range(start, stop + 1)
-    if not ks:
+    if start > stop:
         return []
-    if workers is None:
-        workers = 1
-    if workers <= 1 or len(ks) == 1:
-        return [search_k(k, bounds) for k in ks]
-    tasks = [(k, bounds.bound) for k in ks]
-    chunk = max(1, len(tasks) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_scan_worker, tasks, chunksize=chunk))
-
-
-def available_workers() -> int:
-    return os.cpu_count() or 1
+    found, _, _ = _sweep(start, stop, bounds.bound)
+    # no cube sum is 4 or 5 mod 9, so an infeasible k has no hits to verify
+    return [SearchResult(k, _verified(k, found[k]), not is_feasible(k), SearchStats())
+            for k in range(start, stop + 1)]

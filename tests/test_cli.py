@@ -1,6 +1,6 @@
 import pytest
 
-from cubegraph import cli
+from cubegraph import cli, residues, search
 
 TERNARY_CYCLE_23 = "00088808881118100010110"
 
@@ -216,3 +216,19 @@ def test_search_rejects_oversized_bound(capsys):
     code, _, err = run(capsys, "search", "1", "--bound", "99999999999")
     assert code == 2
     assert "maximum" in err
+
+
+def test_scan_reversed_range_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "scan", "--from", "10", "--to", "1", "--bound", "10")
+    assert code == 2
+    assert out == ""
+    assert "--from 10 is greater than --to 1" in err
+
+
+def test_internal_cube_sum_mismatch_is_not_a_usage_error(monkeypatch):
+    def broken_verify(x, y, z, k):
+        raise residues.CubeSumMismatch(x, y, z, k + 1)
+
+    monkeypatch.setattr(search, "verify", broken_verify)
+    with pytest.raises(residues.CubeSumMismatch):
+        cli.main(["search", "29", "--bound", "4"])

@@ -10,6 +10,7 @@ from cubegraph.search import (
     Representation,
     SearchBounds,
     SearchBoundsError,
+    SearchStats,
     scan_range,
     search_k,
     verify,
@@ -167,3 +168,23 @@ def test_scan_parallel_equals_sequential():
 @given(st.integers(-50, 100), st.integers(1, 12))
 def test_search_matches_oracle_property(k, bound):
     assert found_triples(search_k(k, bound)) == oracle_search(k, bound)
+
+
+def test_search_stats_count_the_same_work_for_any_hit_count():
+    # pinned from the per-k two-pointer search the windowed sweep replaced;
+    # k=0 has 31 hits, so each hit must cost one pair step, as it did there
+    assert search_k(29, 20).stats == SearchStats(pairs_scanned=558, z_pruned=14)
+    assert search_k(0, 30).stats == SearchStats(pairs_scanned=1861, z_pruned=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(-300, 300), st.integers(0, 400))
+def test_scan_range_matches_oracle_property(bound, start, width):
+    stop = start + width
+    results = scan_range(SearchBounds(bound, (start, stop)))
+    assert [r.k for r in results] == list(range(start, stop + 1))
+    for r in results:
+        assert r.skipped == (class_of(r.k) in (4, 5))
+        assert found_triples(r) == oracle_search(r.k, bound), (r.k, bound)
+        if not r.skipped:
+            assert found_triples(r) == found_triples(search_k(r.k, bound))

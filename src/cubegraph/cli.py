@@ -81,12 +81,14 @@ def cmd_graph(args) -> tuple[int, str]:
 
 
 def cmd_cycle(args) -> tuple[int, str]:
-    graph = _resolve_graph(args)
-    try:
-        circuit = debruijn.eulerian_circuit(graph)
-    except debruijn.NotEulerianError as err:
-        return EXIT_INVALID, f"no Eulerian circuit: {err.status.describe()}"
-    seq = debruijn.circuit_to_sequence(circuit)
+    if args.subgraph:  # an edge subset may not be Eulerian: walk it with Hierholzer
+        try:
+            circuit = debruijn.eulerian_circuit(debruijn.fixture_subgraph(args.subgraph))
+        except debruijn.NotEulerianError as err:
+            return EXIT_INVALID, f"no Eulerian circuit: {err.status.describe()}"
+        seq = debruijn.circuit_to_sequence(circuit)
+    else:  # a full graph always is, and its sequence needs no graph
+        seq = debruijn.debruijn_sequence(_alphabet(args.alphabet), args.order)
     return EXIT_OK, f"sequence: {seq}\nlength: {len(seq)}"
 
 

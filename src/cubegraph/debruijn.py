@@ -5,6 +5,12 @@ Nodes are (n-1)-grams, edges are n-grams: the edge 'abc' runs from node
 edge; subgraphs are just edge subsets with their induced nodes.  All
 tie-breaking is lexicographic in alphabet order so circuits and
 sequences are reproducible byte-for-byte.
+
+A full De Bruijn sequence needs no graph: debruijn_sequence concatenates
+Lyndon words (the Fredricksen-Kessler-Maiorana construction) in constant
+amortised time per symbol.  Hierholzer's algorithm on an explicit graph is
+kept for edge subsets, such as the E0/E1/E2 fixtures, which may not be
+Eulerian at all.
 """
 
 from collections import Counter
@@ -68,8 +74,11 @@ class DeBruijnGraph:
     def __post_init__(self):
         if self.order < 2:
             raise ValueError(f"order must be >= 2, got {self.order}")
-        for e in self.edges:
-            self.alphabet.check_gram(e, self.order)
+        # one bulk pass; the per-edge loop only runs to name the bad edge
+        if set(map(len, self.edges)) - {self.order} or \
+                not set("".join(self.edges)).issubset(self.alphabet.symbols):
+            for e in self.edges:
+                self.alphabet.check_gram(e, self.order)
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -117,32 +126,43 @@ class EulerianStatus:
         return "; ".join(parts)
 
 
+_PREFIX, _SUFFIX = slice(None, -1), slice(1, None)  # an edge's tail and head node
+
+
+def _incidence(graph: DeBruijnGraph) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Out-edges by tail node and in-edges by head node, in no particular order."""
+    out: dict[str, list[str]] = {}
+    into: dict[str, list[str]] = {}
+    for e in graph.edges:
+        out.setdefault(e[:-1], []).append(e)
+        into.setdefault(e[1:], []).append(e)
+    return out, into
+
+
 def eulerian_status(graph: DeBruijnGraph) -> EulerianStatus:
     """Directed Eulerian circuit test: balanced degrees plus one strongly
     connected component over the nodes that carry edges."""
+    return _status(graph, *_incidence(graph))
+
+
+def _status(graph: DeBruijnGraph, out: dict, into: dict) -> EulerianStatus:
     if not graph.edges:
         return EulerianStatus(True, (), True, True)
-
-    out_deg, in_deg, adj, radj = Counter(), Counter(), {}, {}
-    for e in graph.edges:
-        u, v = edge_endpoints(e)
-        out_deg[u] += 1
-        in_deg[v] += 1
-        adj.setdefault(u, []).append(v)
-        radj.setdefault(v, []).append(u)
-
-    active = set(out_deg) | set(in_deg)
-    unbalanced = tuple(sorted(n for n in active if out_deg[n] != in_deg[n]))
+    active = out.keys() | into.keys()
+    unbalanced = tuple(sorted(n for n in active if len(out.get(n, ())) != len(into.get(n, ()))))
     start = min(active, key=graph.alphabet.sort_key)
-    connected = (_reachable(start, adj) >= active) and (_reachable(start, radj) >= active)
+    connected = _reachable(start, out, _SUFFIX) >= active and \
+        _reachable(start, into, _PREFIX) >= active
     return EulerianStatus(not unbalanced and connected, unbalanced, connected, False)
 
 
-def _reachable(start: str, adj: dict) -> set[str]:
+def _reachable(start: str, incident: dict, step: slice) -> set[str]:
+    """Nodes reached from start, moving along each incident edge to e[step]."""
     seen = {start}
     stack = [start]
     while stack:
-        for v in adj.get(stack.pop(), []):
+        for e in incident.get(stack.pop(), ()):
+            v = e[step]
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
@@ -166,21 +186,19 @@ def eulerian_circuit(graph: DeBruijnGraph) -> list[str]:
     Starts at the lexicographically smallest active node and always takes
     the smallest unused outgoing edge (both in alphabet order).
     """
-    status = eulerian_status(graph)
+    adj, into = _incidence(graph)
+    status = _status(graph, adj, into)
     if not status:
         raise NotEulerianError(status)
     if not graph.edges:
         raise NotEulerianError(status, "graph has no edges to traverse")
 
-    key = graph.alphabet.sort_key
-    adj: dict[str, list[str]] = {}
-    for e in graph.edges:
-        adj.setdefault(e[:-1], []).append(e)
-    for lst in adj.values():
-        lst.sort(key=key)
+    rank = graph.alphabet._rank
+    for lst in adj.values():  # a node's out-edges differ only in their last symbol
+        lst.sort(key=lambda e: rank[e[-1]])
     cursor = dict.fromkeys(adj, 0)
 
-    start = min(adj, key=key)
+    start = min(adj, key=graph.alphabet.sort_key)
     stack: list[tuple[str, str | None]] = [(start, None)]
     trail: list[str] = []
     while stack:
@@ -246,8 +264,33 @@ def circuit_to_sequence(circuit: list[str]) -> CyclicSequence:
 
 def debruijn_sequence(alphabet: Alphabet, order: int) -> CyclicSequence:
     """Deterministic De Bruijn sequence of length k^n: every n-gram appears
-    exactly once among its cyclic windows."""
-    return circuit_to_sequence(eulerian_circuit(build_graph(alphabet, order)))
+    exactly once among its cyclic windows.
+
+    Built with no graph by the Fredricksen-Kessler-Maiorana construction:
+    the Lyndon words over the alphabet whose length divides n, concatenated
+    in lexicographic (alphabet) order, are a De Bruijn sequence.  Words are
+    generated by Duval's successor rule in constant amortised time per
+    symbol (Fredricksen & Maiorana, Discrete Math. 23, 1978; Ruskey, Savage
+    & Wang, J. Algorithms 13, 1992).  The result is rotated left by n-1,
+    which makes it byte-identical to
+    circuit_to_sequence(eulerian_circuit(build_graph(alphabet, order))).
+    """
+    if order < 2:
+        raise ValueError(f"order must be >= 2, got {order}")
+    last = len(alphabet) - 1
+    seq: list[int] = []
+    word = [-1]  # symbol indices; each pass turns it into the next Lyndon word
+    while word:
+        word[-1] += 1
+        m = len(word)
+        if order % m == 0:
+            seq.extend(word)
+        while len(word) < order:  # extend periodically to the next prenecklace
+            word.append(word[-m])
+        while word and word[-1] == last:
+            word.pop()
+    r = (order - 1) % len(seq)
+    return CyclicSequence("".join(map(alphabet.symbols.__getitem__, seq[r:] + seq[:r])))
 
 
 @dataclass(frozen=True)

@@ -46,19 +46,24 @@ class SearchBounds:
 
 @dataclass(frozen=True, order=True)
 class Representation:
-    """A verified solution x^3 + y^3 + z^3 = k in canonical order x <= y <= z."""
+    """A verified solution x^3 + y^3 + z^3 = k in canonical order x <= y <= z.
+
+    The residue path is computed from the terms when not given; a given
+    path must match it."""
 
     x: int
     y: int
     z: int
     k: int
-    path: ResidueTriple = field(compare=False)
+    path: ResidueTriple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.x <= self.y <= self.z:
             raise ValueError(f"not in canonical order: ({self.x}, {self.y}, {self.z})")
         expected = label_solution(self.x, self.y, self.z, self.k)  # checks the cube identity
-        if self.path != expected:
+        if self.path is None:
+            object.__setattr__(self, "path", expected)
+        elif self.path != expected:
             raise ValueError(f"path {self.path} does not match {expected}")
 
     def triple(self) -> tuple[int, int, int]:
@@ -70,7 +75,7 @@ def verify(x: int, y: int, z: int, k: int) -> Representation:
     residue path.  Raises CubeSumMismatch (with the actual sum, and an
     infeasibility note when k is in class 4 or 5) on failure."""
     a, b, c = sorted((x, y, z))
-    return Representation(a, b, c, k, label_solution(a, b, c, k))
+    return Representation(a, b, c, k)
 
 
 @dataclass(frozen=True)

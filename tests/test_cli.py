@@ -1,6 +1,6 @@
 import pytest
 
-from cubegraph import cli, residues, search
+from cubegraph import cli, debruijn, residues, search
 
 TERNARY_CYCLE_23 = "00088808881118100010110"
 
@@ -75,6 +75,48 @@ def test_cycle_e0_is_diagnosed(capsys):
     code, out, _ = run(capsys, "cycle", "--subgraph", "E0")
     assert code == 1
     assert "strongly connected" in out
+
+
+@pytest.mark.parametrize("symbols,order", [("810", 4), ("0", 3)])
+def test_cycle_prints_the_hierholzer_sequence(capsys, symbols, order):
+    alphabet = debruijn.Alphabet.from_string(symbols)
+    seq = debruijn.circuit_to_sequence(
+        debruijn.eulerian_circuit(debruijn.build_graph(alphabet, order)))
+    code, out, _ = run(capsys, "cycle", "--alphabet", symbols, "--order", str(order))
+    assert code == 0
+    assert out == f"sequence: {seq}\nlength: {len(seq)}\n"
+
+
+def test_cycle_full_graph_builds_no_graph(capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a full sequence needs no graph")
+
+    monkeypatch.setattr(debruijn, "build_graph", forbidden)
+    monkeypatch.setattr(debruijn, "eulerian_circuit", forbidden)
+    code, out, _ = run(capsys, "cycle", "--alphabet", "01", "--order", "3")
+    assert code == 0
+    assert "length: 8" in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--order", "1"), "error: order must be >= 2, got 1\n"),
+    (("--alphabet", "001"), "error: duplicate symbols: ('0', '0', '1')\n"),
+])
+def test_cycle_bad_alphabet_or_order_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "cycle", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+@pytest.mark.parametrize("name,want_code,want_out", [
+    ("E0", 1, "no Eulerian circuit: active nodes are not strongly connected\n"),
+    ("E1", 0, "sequence: 011180188800\nlength: 12\n"),
+    ("E2", 0, "sequence: 081088811100\nlength: 12\n"),
+])
+def test_cycle_fixture_subgraph_output(capsys, name, want_code, want_out):
+    code, out, _ = run(capsys, "cycle", "--subgraph", name)
+    assert (code, out) == (want_code, want_out)
 
 
 def test_validate_classic_binary_string(capsys):

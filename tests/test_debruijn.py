@@ -2,7 +2,7 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubegraph.debruijn import (
@@ -56,6 +56,15 @@ alphabets = st.sampled_from([
 ])
 
 
+@st.composite
+def shuffled_full_graphs(draw):
+    """(alphabet, order): 1-6 symbols in a random order, order 2-7, k^n <= 5000."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(2, max(n for n in range(2, 8) if k ** n <= 5000)))
+    symbols = draw(st.permutations("018ab9"))[:k]
+    return Alphabet(tuple(symbols)), n
+
+
 def test_alphabet_validation():
     with pytest.raises(ValueError):
         Alphabet(())
@@ -107,6 +116,17 @@ def test_graph_rejects_foreign_edges():
         DeBruijnGraph(BINARY, 3, frozenset({"012"}))
     with pytest.raises(ValueError):
         DeBruijnGraph(BINARY, 3, frozenset({"01"}))
+
+
+def test_graph_edge_errors_name_the_bad_edge():
+    good = full_grams("01", 3)
+    with pytest.raises(ValueError, match=r"^symbols \['2'\] not in alphabet '01'$"):
+        DeBruijnGraph(BINARY, 3, frozenset(good | {"012"}))
+    with pytest.raises(ValueError, match=r"^expected a 3-gram, got '0101'$"):
+        DeBruijnGraph(BINARY, 3, frozenset(good | {"0101"}))
+    # right total length and symbols, wrong individual lengths
+    with pytest.raises(ValueError, match="expected a 3-gram"):
+        DeBruijnGraph(BINARY, 3, frozenset({"01", "0101"}))
 
 
 def test_full_graphs_are_eulerian():
@@ -209,6 +229,11 @@ def test_debruijn_sequence_unary():
     seq = debruijn_sequence(Alphabet.from_string("0"), 2)
     assert seq.symbols == "0"
     assert seq.windows(2) == ["00"]
+
+
+def test_debruijn_sequence_rejects_bad_order():
+    with pytest.raises(ValueError, match="order must be >= 2, got 1"):
+        debruijn_sequence(BINARY, 1)
 
 
 def test_windows_of_classic_binary_string():
@@ -381,6 +406,19 @@ def test_debruijn_sequence_windows_all_distinct(alphabet, n):
     wins = seq.windows(n)
     assert len(wins) == len(alphabet) ** n
     assert len(set(wins)) == len(wins)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_full_graphs())
+@example((Alphabet.from_string("10"), 4))
+@example((Alphabet.from_string("ba"), 3))
+@example((Alphabet.from_string("810"), 4))
+def test_debruijn_sequence_equals_hierholzer_on_full_graph(case):
+    # the generator needs no graph; its output is pinned byte-for-byte to the
+    # circuit Hierholzer walks on the full graph
+    alphabet, n = case
+    assert debruijn_sequence(alphabet, n) == \
+        circuit_to_sequence(eulerian_circuit(build_graph(alphabet, n)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubegraph.residues import CubeSumMismatch, class_of, decompose
+from cubegraph import search as search_module
+from cubegraph.residues import CubeSumMismatch, class_of, decompose, label_solution
 from cubegraph.search import (
     MAX_SEARCH_BOUND,
     Representation,
@@ -126,6 +127,28 @@ def test_representation_rejects_non_canonical_order():
     Representation(1, 1, 3, 29, path)  # same terms and path, canonical order
     with pytest.raises(ValueError, match="not in canonical order"):
         Representation(3, 1, 1, 29, path)
+
+
+def test_representation_computes_or_checks_its_path():
+    path = next(iter(decompose(2)))
+    assert Representation(1, 1, 3, 29).path == path
+    assert Representation(1, 1, 3, 29) == Representation(1, 1, 3, 29, path)
+    with pytest.raises(ValueError, match="does not match"):
+        Representation(1, 1, 3, 29, next(iter(decompose(0))))
+    with pytest.raises(CubeSumMismatch):
+        Representation(1, 1, 3, 30)
+
+
+def test_verify_labels_each_hit_once(monkeypatch):
+    calls = []
+
+    def counting_label(*args):
+        calls.append(args)
+        return label_solution(*args)
+
+    monkeypatch.setattr(search_module, "label_solution", counting_label)
+    assert verify(332, -265, -262, 15).path.residues == (8, 8, 8)
+    assert calls == [(-265, -262, 332, 15)]
 
 
 def test_bounds_validation():

@@ -17,24 +17,6 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 
 
-def _alphabet(text: str) -> debruijn.Alphabet:
-    return debruijn.Alphabet.from_string(text)
-
-
-def _resolve_graph(args) -> debruijn.DeBruijnGraph:
-    if getattr(args, "subgraph", None):
-        return debruijn.fixture_subgraph(args.subgraph)
-    return debruijn.build_graph(_alphabet(args.alphabet), args.order)
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _representation_rows(results: list[search.SearchResult]) -> list[list]:
     rows = []
     for res in results:
@@ -45,7 +27,11 @@ def _representation_rows(results: list[search.SearchResult]) -> list[list]:
 
 
 def _emit_csv(out_path, header, rows, lines):
-    text = _csv_text(header, rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    text = buf.getvalue()
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -69,7 +55,10 @@ def cmd_classes(args) -> tuple[int, str]:
 
 
 def cmd_graph(args) -> tuple[int, str]:
-    graph = _resolve_graph(args)
+    if args.subgraph:
+        graph = debruijn.fixture_subgraph(args.subgraph)
+    else:
+        graph = debruijn.build_graph(debruijn.Alphabet.from_string(args.alphabet), args.order)
     name = args.subgraph or f"debruijn_{args.alphabet}_{args.order}"
     text = debruijn.to_dot(graph, name=name)
     if args.dot:
@@ -88,13 +77,13 @@ def cmd_cycle(args) -> tuple[int, str]:
             return EXIT_INVALID, f"no Eulerian circuit: {err.status.describe()}"
         seq = debruijn.circuit_to_sequence(circuit)
     else:  # a full graph always is, and its sequence needs no graph
-        seq = debruijn.debruijn_sequence(_alphabet(args.alphabet), args.order)
+        seq = debruijn.debruijn_sequence(debruijn.Alphabet.from_string(args.alphabet), args.order)
     return EXIT_OK, f"sequence: {seq}\nlength: {len(seq)}"
 
 
 def cmd_validate(args) -> tuple[int, str]:
     if args.against == "full":
-        alphabet = _alphabet(args.alphabet)
+        alphabet = debruijn.Alphabet.from_string(args.alphabet)
         target = debruijn.build_graph(alphabet, args.order).edges
     else:
         alphabet = debruijn.TERNARY_ALPHABET

@@ -3,8 +3,11 @@
 Nodes are (n-1)-grams, edges are n-grams: the edge 'abc' runs from node
 'ab' to node 'bc'.  A full graph B(alphabet, n) has every n-gram as an
 edge; subgraphs are just edge subsets with their induced nodes.  All
-tie-breaking is lexicographic in alphabet order so circuits and
-sequences are reproducible byte-for-byte.
+tie-breaking is lexicographic in alphabet order, so circuits and
+sequences are reproducible byte-for-byte.  There is one gram order,
+Alphabet.sort_key, and the Eulerian code sorts a graph's edges by it once:
+every out-list then comes out in walk order, and the first tail node is
+where Hierholzer starts.
 
 A full De Bruijn sequence needs no graph: debruijn_sequence concatenates
 Lyndon words (the Fredricksen-Kessler-Maiorana construction) in constant
@@ -24,7 +27,7 @@ class Alphabet:
     """Ordered distinct single-character symbols; order defines tie-breaking."""
 
     symbols: tuple[str, ...]
-    _rank: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _order: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self):
         if not self.symbols:
@@ -33,7 +36,9 @@ class Alphabet:
             raise ValueError(f"symbols must be single characters: {self.symbols!r}")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError(f"duplicate symbols: {self.symbols!r}")
-        object.__setattr__(self, "_rank", {s: i for i, s in enumerate(self.symbols)})
+        # symbol -> chr(rank): a translated gram sorts in alphabet order
+        ranks = {s: chr(i) for i, s in enumerate(self.symbols)}
+        object.__setattr__(self, "_order", str.maketrans(ranks))
 
     @classmethod
     def from_string(cls, text: str) -> "Alphabet":
@@ -42,16 +47,15 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._rank
-
-    def sort_key(self, gram: str) -> tuple[int, ...]:
-        return tuple(self._rank[c] for c in gram)
+    def sort_key(self, gram: str) -> str:
+        """Key that orders grams lexicographically in alphabet order.  A symbol
+        outside the alphabet passes through unchecked: see check_gram."""
+        return gram.translate(self._order)
 
     def check_gram(self, gram: str, length: int | None = None):
         if length is not None and len(gram) != length:
             raise ValueError(f"expected a {length}-gram, got {gram!r}")
-        bad = [c for c in gram if c not in self._rank]
+        bad = [c for c in gram if ord(c) not in self._order]
         if bad:
             raise ValueError(f"symbols {bad!r} not in alphabet {''.join(self.symbols)!r}")
 
@@ -130,10 +134,11 @@ _PREFIX, _SUFFIX = slice(None, -1), slice(1, None)  # an edge's tail and head no
 
 
 def _incidence(graph: DeBruijnGraph) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-    """Out-edges by tail node and in-edges by head node, in no particular order."""
+    """Out-edges by tail node and in-edges by head node, both in alphabet
+    order; the tail nodes, too, come out in alphabet order."""
     out: dict[str, list[str]] = {}
     into: dict[str, list[str]] = {}
-    for e in graph.edges:
+    for e in sorted(graph.edges, key=graph.alphabet.sort_key):
         out.setdefault(e[:-1], []).append(e)
         into.setdefault(e[1:], []).append(e)
     return out, into
@@ -149,8 +154,9 @@ def _status(graph: DeBruijnGraph, out: dict, into: dict) -> EulerianStatus:
     if not graph.edges:
         return EulerianStatus(True, (), True, True)
     active = out.keys() | into.keys()
-    unbalanced = tuple(sorted(n for n in active if len(out.get(n, ())) != len(into.get(n, ()))))
-    start = min(active, key=graph.alphabet.sort_key)
+    unbalanced = tuple(sorted((n for n in active if len(out.get(n, ())) != len(into.get(n, ()))),
+                              key=graph.alphabet.sort_key))
+    start = next(iter(out))  # strong connectivity holds from every active node or from none
     connected = _reachable(start, out, _SUFFIX) >= active and \
         _reachable(start, into, _PREFIX) >= active
     return EulerianStatus(not unbalanced and connected, unbalanced, connected, False)
@@ -193,26 +199,19 @@ def eulerian_circuit(graph: DeBruijnGraph) -> list[str]:
     if not graph.edges:
         raise NotEulerianError(status, "graph has no edges to traverse")
 
-    rank = graph.alphabet._rank
-    for lst in adj.values():  # a node's out-edges differ only in their last symbol
-        lst.sort(key=lambda e: rank[e[-1]])
-    cursor = dict.fromkeys(adj, 0)
-
-    start = min(adj, key=graph.alphabet.sort_key)
-    stack: list[tuple[str, str | None]] = [(start, None)]
+    # one iterator of unused out-edges per node; the graph is balanced, so
+    # every node the walk reaches has one
+    unused = {node: iter(edges) for node, edges in adj.items()}
+    # The walk first gets stuck back at the start node with all its out-edges
+    # used, so the stack holds edges only, never the start node itself.
+    stack = [next(unused[next(iter(adj))])]
     trail: list[str] = []
     while stack:
-        node, via = stack[-1]
-        nxt = adj.get(node, ())
-        i = cursor.get(node, 0)
-        if i < len(nxt):
-            cursor[node] = i + 1
-            edge = nxt[i]
-            stack.append((edge[1:], edge))
+        edge = next(unused[stack[-1][1:]], None)
+        if edge is None:
+            trail.append(stack.pop())
         else:
-            stack.pop()
-            if via is not None:
-                trail.append(via)
+            stack.append(edge)
     trail.reverse()
     return trail
 
@@ -232,10 +231,6 @@ class CyclicSequence:
 
     def __str__(self) -> str:
         return self.symbols
-
-    def window(self, start: int, length: int) -> str:
-        s, m = self.symbols, len(self.symbols)
-        return "".join(s[(start + j) % m] for j in range(length))
 
     def windows(self, length: int) -> list[str]:
         """All len(self) windows of the given length, read cyclically in order."""
@@ -374,9 +369,12 @@ def to_dot(graph: DeBruijnGraph, highlight=(), dashed=(), name: str = "debruijn"
 
 
 def write_edge_file(path, edges, alphabet: Alphabet | None = None):
-    """Persist an edge set as plain text, one gram per line, sorted."""
-    key = alphabet.sort_key if alphabet is not None else None
-    Path(path).write_text("".join(f"{e}\n" for e in sorted(edges, key=key)), encoding="utf-8")
+    """Persist an edge set as plain text, one gram per line, sorted: in
+    alphabet order when an alphabet is given, which every gram must use."""
+    grams = sorted(edges, key=alphabet.sort_key if alphabet is not None else None)
+    if alphabet is not None:
+        alphabet.check_gram("".join(grams))  # sort_key would pass a foreign symbol through
+    Path(path).write_text("".join(f"{g}\n" for g in grams), encoding="utf-8")
 
 
 def read_edge_file(path) -> frozenset[str]:

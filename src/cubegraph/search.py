@@ -20,9 +20,13 @@ from .residues import ResidueTriple, is_feasible, label_solution
 # classes reachable by a sum of two cubic residues: {0,1,8} + {0,1,8} mod 9
 TWO_CUBE_CLASSES = frozenset({0, 1, 2, 7, 8})
 
-# Python ints never overflow, so the cap only keeps the in-memory cube
-# table (2B+1 entries) reasonable.
-MAX_SEARCH_BOUND = 2_000_000
+# The cap keeps one search_k within about half a minute.  Its worst case is
+# a class no z is pruned from, such as k = 0: 2B^2 + 2B + 1 two-pointer steps
+# (k = 2 takes about 1.33 B^2, k = 3 about 0.67 B^2).  At the cap that is
+# 2.0e8 steps, measured at 31 s (6.4M steps/s, one core of a 2-vCPU x86-64
+# machine, CPython 3.11); the cost grows as B^2, so B = 20,000 would take
+# about 2 minutes.  The cube table (2B+1 Python ints) stays small.
+MAX_SEARCH_BOUND = 10_000
 
 
 class SearchBoundsError(ValueError):

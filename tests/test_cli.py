@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cubegraph import cli, debruijn, residues, search
@@ -274,3 +278,17 @@ def test_internal_cube_sum_mismatch_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(search, "verify", broken_verify)
     with pytest.raises(residues.CubeSumMismatch):
         cli.main(["search", "29", "--bound", "4"])
+
+
+def test_cli_imports_only_the_standard_library():
+    # python -S leaves site-packages off the path, so a third-party import fails
+    # or shows up in sys.modules under a name outside the standard library
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import cubegraph.cli; "
+            "print('\\n'.join(sorted({m.split('.')[0] for m in sys.modules})))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.split())
+    assert "cubegraph" in modules
+    assert modules - sys.stdlib_module_names <= {"cubegraph", "__main__"}

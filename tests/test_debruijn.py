@@ -149,6 +149,11 @@ def test_unbalanced_diagnostic():
     assert "0" in status.unbalanced and "1" in status.unbalanced
 
 
+def test_unbalanced_nodes_listed_in_alphabet_order():
+    g = build_graph(Alphabet.from_string("10"), 2)
+    assert eulerian_status(g.subgraph(g.edges - {"01"})).unbalanced == ("1", "0")
+
+
 def test_empty_edge_set_is_eulerian_by_convention():
     g = build_graph(BINARY, 2)
     status = eulerian_status(g.subgraph(frozenset()))
@@ -387,6 +392,13 @@ def test_edge_file_round_trip(tmp_path):
     assert path.read_text().splitlines()[0] == "000"  # sorted, one gram per line
 
 
+def test_edge_file_rejects_foreign_symbols(tmp_path):
+    path = tmp_path / "edges.txt"
+    with pytest.raises(ValueError, match=r"^symbols \['2'\] not in alphabet '01'$"):
+        write_edge_file(path, {"001", "012"}, BINARY)
+    assert not path.exists()
+
+
 @given(alphabets, st.integers(2, 4))
 def test_full_graph_counts_and_degrees(alphabet, n):
     g = build_graph(alphabet, n)
@@ -433,3 +445,91 @@ def test_circuit_round_trip(alphabet, n):
 def test_reversal_is_involution_on_full_graphs(alphabet, n):
     edges = build_graph(alphabet, n).edges
     assert reverse_edges(reverse_edges(edges)) == edges
+
+
+def alphabet_key(symbols):
+    """Alphabet order on grams, written with plain rank lists."""
+    rank = {s: i for i, s in enumerate(symbols)}
+    return lambda gram: [rank[c] for c in gram]
+
+
+def naive_status(symbols, edges):
+    """(unbalanced nodes in alphabet order, strongly connected) from degree
+    counts and a search forwards and backwards from the least active node."""
+    key = alphabet_key(symbols)
+    out_deg, in_deg = Counter(e[:-1] for e in edges), Counter(e[1:] for e in edges)
+    active = set(out_deg) | set(in_deg)
+    unbalanced = tuple(sorted((v for v in active if out_deg[v] != in_deg[v]), key=key))
+    if not active:
+        return unbalanced, True
+
+    def reach(pairs):
+        succ = {}
+        for u, v in pairs:
+            succ.setdefault(u, set()).add(v)
+        seen, todo = set(), [min(active, key=key)]
+        while todo:
+            u = todo.pop()
+            if u not in seen:
+                seen.add(u)
+                todo.extend(succ.get(u, ()))
+        return seen
+
+    forward = reach((e[:-1], e[1:]) for e in edges)
+    backward = reach((e[1:], e[:-1]) for e in edges)
+    return unbalanced, forward == backward == active
+
+
+def naive_circuit(symbols, edges):
+    """Smallest-first Hierholzer: start at the least node, always leave by the
+    least unused edge, and emit edges as the walk backs out of dead ends."""
+    key = alphabet_key(symbols)
+    unused = {}
+    for e in sorted(edges, key=key):
+        unused.setdefault(e[:-1], []).append(e)
+    path, circuit = [(min(unused, key=key), None)], []
+    while path:
+        node, via = path[-1]
+        if unused.get(node):
+            e = unused[node].pop(0)
+            path.append((e[1:], e))
+        else:
+            path.pop()
+            if via is not None:
+                circuit.append(via)
+    return circuit[::-1]
+
+
+@st.composite
+def rank_sum_subgraphs(draw):
+    """(symbols, order, edges, dropped): a shuffled alphabet of 1-5 symbols,
+    order 2-6 with k^n <= 4000, and the n-grams whose symbol ranks sum to at
+    most L.  Each such subgraph is balanced and strongly connected; dropping
+    one edge, which happens half the time, usually breaks that."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(2, max(n for n in range(2, 7) if k ** n <= 4000)))
+    symbols = tuple(draw(st.permutations("018ab"))[:k])
+    limit = draw(st.integers(0, (k - 1) * n))
+    edges = {"".join(p) for p in product(symbols, repeat=n)
+             if sum(map(symbols.index, p)) <= limit}
+    dropped = draw(st.booleans())
+    if dropped:
+        edges.discard(draw(st.sampled_from(sorted(edges))))
+    return symbols, n, frozenset(edges), dropped
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_sum_subgraphs())
+def test_eulerian_layer_matches_naive_reference(case):
+    symbols, n, edges, dropped = case
+    graph = DeBruijnGraph(Alphabet(symbols), n, edges)
+    unbalanced, connected = naive_status(symbols, edges)
+    status = eulerian_status(graph)
+    assert (status.unbalanced, status.connected, status.empty) == (unbalanced, connected, not edges)
+    assert status.eulerian == (not unbalanced and connected)
+    assert status.eulerian or dropped
+    if status.eulerian and edges:
+        assert eulerian_circuit(graph) == naive_circuit(symbols, edges)
+    else:
+        with pytest.raises(NotEulerianError):
+            eulerian_circuit(graph)

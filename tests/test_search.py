@@ -159,6 +159,16 @@ def test_bounds_validation():
     SearchBounds(MAX_SEARCH_BOUND)  # boundary is allowed
 
 
+@pytest.mark.parametrize("b", [1, 2, 3, 8, 25, 60])
+def test_sweep_cost_model(b):
+    # the two-pointer pass for z takes at most zi + 1 steps; k = 0, from which
+    # no z is pruned, takes exactly 2b^2 + 2b + 1 in all.  MAX_SEARCH_BOUND's
+    # worst-case runtime rests on this count.
+    assert search_k(0, b).stats.pairs_scanned == 2 * b * b + 2 * b + 1
+    for k in range(-40, 41):
+        assert search_k(k, b).stats.pairs_scanned <= (2 * b + 1) * (2 * b + 2) // 2
+
+
 def test_scan_range_marks_infeasible():
     results = scan_range(SearchBounds(50, (1, 20)))
     assert [r.k for r in results] == list(range(1, 21))

@@ -4,7 +4,6 @@ x^3 + y^3 + z^3 = k."""
 from .debruijn import (
     Alphabet,
     CoverageReport,
-    CyclicSequence,
     DeBruijnGraph,
     EulerianStatus,
     FIXTURE_EDGES,
@@ -12,18 +11,14 @@ from .debruijn import (
     TERNARY_ALPHABET,
     build_graph,
     circuit_to_sequence,
+    cyclic_windows,
     debruijn_sequence,
     edge_endpoints,
-    edges_for_class,
     eulerian_circuit,
     eulerian_status,
     fixture_subgraph,
-    is_eulerian,
-    read_edge_file,
-    reverse_edges,
     to_dot,
     validate_cycle,
-    write_edge_file,
 )
 from .residues import (
     CUBIC_RESIDUES,
@@ -40,6 +35,7 @@ from .residues import (
     signed_spellings,
 )
 from .search import (
+    MAX_SCAN_WIDTH,
     MAX_SEARCH_BOUND,
     Representation,
     SearchBounds,

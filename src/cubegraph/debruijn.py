@@ -14,12 +14,14 @@ Lyndon words (the Fredricksen-Kessler-Maiorana construction) in constant
 amortised time per symbol.  Hierholzer's algorithm on an explicit graph is
 kept for edge subsets, such as the E0/E1/E2 fixtures, which may not be
 Eulerian at all.
+
+A cyclic sequence is a plain non-empty str: its windows wrap around the
+end (cyclic_windows), and every rotation names the same cycle.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from pathlib import Path
 
 
 @dataclass(frozen=True)
@@ -87,16 +89,6 @@ class DeBruijnGraph:
     @property
     def nodes(self) -> frozenset[str]:
         return frozenset(n for e in self.edges for n in edge_endpoints(e))
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.edges) == len(self.alphabet) ** self.order
-
-    def subgraph(self, edges) -> "DeBruijnGraph":
-        edges = frozenset(edges)
-        if not edges <= self.edges:
-            raise ValueError(f"edges not in graph: {sorted(edges - self.edges)}")
-        return DeBruijnGraph(self.alphabet, self.order, edges)
 
 
 def build_graph(alphabet: Alphabet, order: int) -> DeBruijnGraph:
@@ -175,10 +167,6 @@ def _reachable(start: str, incident: dict, step: slice) -> set[str]:
     return seen
 
 
-def is_eulerian(graph: DeBruijnGraph) -> bool:
-    return bool(eulerian_status(graph))
-
-
 class NotEulerianError(ValueError):
     def __init__(self, status: EulerianStatus, detail: str = ""):
         self.status = status
@@ -216,35 +204,14 @@ def eulerian_circuit(graph: DeBruijnGraph) -> list[str]:
     return trail
 
 
-@dataclass(frozen=True)
-class CyclicSequence:
-    """Non-empty cyclic string; indexing wraps around the end."""
-
-    symbols: str
-
-    def __post_init__(self):
-        if not self.symbols:
-            raise ValueError("cyclic sequence must be non-empty")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __str__(self) -> str:
-        return self.symbols
-
-    def windows(self, length: int) -> list[str]:
-        """All len(self) windows of the given length, read cyclically in order."""
-        doubled = self.symbols * (2 if length <= len(self.symbols) else length + 1)
-        return [doubled[i:i + length] for i in range(len(self.symbols))]
-
-    def canonical(self) -> "CyclicSequence":
-        """Lexicographically least rotation; rotation-invariant normal form."""
-        s = self.symbols
-        best = min(s[i:] + s[:i] for i in range(len(s)))
-        return CyclicSequence(best)
+def cyclic_windows(seq: str, length: int) -> list[str]:
+    """All len(seq) windows of the given length, read cyclically in order:
+    window i starts at symbol i and wraps around the end."""
+    doubled = seq * (2 if length <= len(seq) else length + 1)
+    return [doubled[i:i + length] for i in range(len(seq))]
 
 
-def circuit_to_sequence(circuit: list[str]) -> CyclicSequence:
+def circuit_to_sequence(circuit: list[str]) -> str:
     """Collapse a closed edge circuit to the cyclic string of each edge's
     last symbol; the string's length-n windows walk the circuit again."""
     if not circuit:
@@ -254,10 +221,10 @@ def circuit_to_sequence(circuit: list[str]) -> CyclicSequence:
             raise ValueError(f"mixed gram lengths in circuit: {a!r}")
         if a[1:] != b[:-1]:
             raise ValueError(f"circuit does not chain: {a!r} -> {b!r}")
-    return CyclicSequence("".join(e[-1] for e in circuit))
+    return "".join(e[-1] for e in circuit)
 
 
-def debruijn_sequence(alphabet: Alphabet, order: int) -> CyclicSequence:
+def debruijn_sequence(alphabet: Alphabet, order: int) -> str:
     """Deterministic De Bruijn sequence of length k^n: every n-gram appears
     exactly once among its cyclic windows.
 
@@ -285,7 +252,7 @@ def debruijn_sequence(alphabet: Alphabet, order: int) -> CyclicSequence:
         while word and word[-1] == last:
             word.pop()
     r = (order - 1) % len(seq)
-    return CyclicSequence("".join(map(alphabet.symbols.__getitem__, seq[r:] + seq[:r])))
+    return "".join(map(alphabet.symbols.__getitem__, seq[r:] + seq[:r]))
 
 
 @dataclass(frozen=True)
@@ -306,22 +273,19 @@ class CoverageReport:
         """Windows hit every target edge exactly once and nothing else."""
         return self.complete and not self.extra and not self.duplicates
 
-    def duplicate_map(self) -> dict[str, int]:
-        return dict(self.duplicates)
 
-
-def validate_cycle(sequence: CyclicSequence | str, target: frozenset[str] | set[str]) -> CoverageReport:
+def validate_cycle(sequence: str, target: frozenset[str] | set[str]) -> CoverageReport:
     """Partition a target edge set into covered/missing by the sequence's
     cyclic windows; windows outside the target are extra, repeats counted."""
-    if isinstance(sequence, str):
-        sequence = CyclicSequence(sequence)
+    if not sequence:
+        raise ValueError("cyclic sequence must be non-empty")
     target = frozenset(target)
     if not target:
         return CoverageReport(frozenset(), frozenset(), frozenset(), ())
     lengths = {len(g) for g in target}
     if len(lengths) != 1:
         raise ValueError(f"target grams have mixed lengths: {sorted(lengths)}")
-    counts = Counter(sequence.windows(lengths.pop()))
+    counts = Counter(cyclic_windows(sequence, lengths.pop()))
     return CoverageReport(
         covered=frozenset(counts) & target,
         missing=target - set(counts),
@@ -330,72 +294,33 @@ def validate_cycle(sequence: CyclicSequence | str, target: frozenset[str] | set[
     )
 
 
-def reverse_edges(edges) -> frozenset[str]:
-    """Elementwise string reversal of an edge set."""
-    return frozenset(e[::-1] for e in edges)
-
-
-def edges_for_class(graph: DeBruijnGraph, residue_class: int) -> frozenset[str]:
-    """Edges of a ternary {0,1,8} order-3 graph whose digit sum is the given
-    class mod 9; the underlying multisets match residues.decompose."""
-    if set(graph.alphabet.symbols) != {"0", "1", "8"} or graph.order != 3:
-        raise ValueError("residue-class filtering needs alphabet {0,1,8} and order 3")
-    if not 0 <= residue_class <= 8:
-        raise ValueError(f"residue class must be in 0..8, got {residue_class}")
-    return frozenset(e for e in graph.edges if sum(int(c) for c in e) % 9 == residue_class)
-
-
-def to_dot(graph: DeBruijnGraph, highlight=(), dashed=(), name: str = "debruijn") -> str:
-    """DOT digraph text with gram-labelled nodes/edges in stable order.
-
-    Edges in `highlight` get a heavier pen, edges in `dashed` a dashed style
-    (marking where a cycle starts repeating, for instance).
-    """
+def to_dot(graph: DeBruijnGraph, name: str = "debruijn") -> str:
+    """DOT digraph text with gram-labelled nodes/edges in stable order."""
     key = graph.alphabet.sort_key
-    highlight, dashed = frozenset(highlight), frozenset(dashed)
     lines = [f'digraph "{name}" {{']
     for node in sorted(graph.nodes, key=key):
         lines.append(f'  "{node}" [label="{node}"];')
     for e in sorted(graph.edges, key=key):
         u, v = edge_endpoints(e)
-        attrs = [f'label="{e}"']
-        if e in highlight:
-            attrs.append("penwidth=2.0")
-        if e in dashed:
-            attrs.append("style=dashed")
-        lines.append(f'  "{u}" -> "{v}" [{", ".join(attrs)}];')
+        lines.append(f'  "{u}" -> "{v}" [label="{e}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def write_edge_file(path, edges, alphabet: Alphabet | None = None):
-    """Persist an edge set as plain text, one gram per line, sorted: in
-    alphabet order when an alphabet is given, which every gram must use."""
-    grams = sorted(edges, key=alphabet.sort_key if alphabet is not None else None)
-    if alphabet is not None:
-        alphabet.check_gram("".join(grams))  # sort_key would pass a foreign symbol through
-    Path(path).write_text("".join(f"{g}\n" for g in grams), encoding="utf-8")
-
-
-def read_edge_file(path) -> frozenset[str]:
-    """Read an edge set written by write_edge_file (blank lines ignored)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return frozenset(line.strip() for line in lines if line.strip())
 
 
 # The ternary cube-residue alphabet and the three named edge-set fixtures
 # splitting its full order-3 graph: E0 holds the six alternating loops
 # (aba with a != b, three disjoint 2-cycles), E1 and E2 are complementary
 # Eulerian halves with E2 the elementwise reversal of E1; the halves share
-# only the constant self-loops 000/111/888.
+# only the constant self-loops 000/111/888.  Only E1 is listed: E0 and E2
+# are built from those relations.
 TERNARY_ALPHABET = Alphabet.from_string("018")
 
+_E1 = frozenset({"000", "001", "011", "018", "111", "118",
+                 "180", "188", "800", "801", "880", "888"})
 FIXTURE_EDGES: dict[str, frozenset[str]] = {
-    "E0": frozenset({"010", "080", "101", "181", "808", "818"}),
-    "E1": frozenset({"000", "001", "011", "018", "111", "118",
-                     "180", "188", "800", "801", "880", "888"}),
-    "E2": frozenset({"000", "008", "081", "088", "100", "108",
-                     "110", "111", "810", "811", "881", "888"}),
+    "E0": frozenset(a + b + a for a, b in product(TERNARY_ALPHABET.symbols, repeat=2) if a != b),
+    "E1": _E1,
+    "E2": frozenset(e[::-1] for e in _E1),
 }
 
 

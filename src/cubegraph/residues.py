@@ -86,10 +86,6 @@ class SignedSpelling:
     def of(cls, a: int, b: int, c: int) -> "SignedSpelling":
         return cls(tuple(sorted((a, b, c))))
 
-    def as_triple(self) -> ResidueTriple:
-        """Map -1 back to 8, recovering the underlying class triple."""
-        return ResidueTriple.of(*(8 if e == -1 else e for e in self.entries))
-
     def spell(self) -> str:
         """Render as a signed sum, e.g. '-1-1+8'."""
         return _spell_terms(self.entries)

@@ -28,6 +28,13 @@ TWO_CUBE_CLASSES = frozenset({0, 1, 2, 7, 8})
 # about 2 minutes.  The cube table (2B+1 Python ints) stays small.
 MAX_SEARCH_BOUND = 10_000
 
+# The widest k range one scan accepts.  A scan keeps one SearchResult per k
+# and prints a line for each, so its time and memory grow with the width even
+# at bound 1, by about 7.5 us and 350 B per k: at the cap,
+# `scan --from 1 --to 1000000 --bound 1` took 7.5-8.2 s at 354 MB peak RSS
+# (same machine as above).
+MAX_SCAN_WIDTH = 1_000_000
+
 
 class SearchBoundsError(ValueError):
     pass
@@ -46,6 +53,10 @@ class SearchBounds:
         if self.bound > MAX_SEARCH_BOUND:
             raise SearchBoundsError(
                 f"bound {self.bound} exceeds the supported maximum {MAX_SEARCH_BOUND}")
+        if self.k_range is not None and self.k_range[1] - self.k_range[0] >= MAX_SCAN_WIDTH:
+            lo, hi = self.k_range
+            raise SearchBoundsError(f"k range {lo}..{hi} holds {hi - lo + 1} values, more than "
+                                    f"the supported maximum {MAX_SCAN_WIDTH}")
 
 
 @dataclass(frozen=True, order=True)

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,21 @@ def test_graph_subgraph_fixture(capsys, tmp_path):
     assert code == 0
     assert "6 nodes, 12 edges" in out
     assert dot.read_text().count("->") == 12
+
+
+# SHA-256 of the DOT text each invocation prints; alphabet 10 checks that
+# nodes and edges are listed in alphabet order, not code-point order
+@pytest.mark.parametrize("argv,digest", [
+    (("--subgraph", "E0"), "a34c84db66774475d27df859eaf1e229a61c18545429673f613112ce39005ec0"),
+    (("--subgraph", "E1"), "1edda8fc790cfd4d76098f6f6f05bc74057cf23558482e98a2ad6e7791b0bdf3"),
+    (("--subgraph", "E2"), "298ff89e55bca5e8a2a6e54795e96ff7fa382143c3ce25e44f6af785c2d92640"),
+    (("--alphabet", "10", "--order", "3"),
+     "4ad73882cec15f7225947e5e740f1360ecfc87e4ce2faed6a9383c3864062d83"),
+])
+def test_graph_stdout_is_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, "graph", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_graph_unknown_fixture_is_usage_error(capsys):
@@ -271,6 +287,19 @@ def test_scan_reversed_range_is_a_usage_error(capsys):
     assert "--from 10 is greater than --to 1" in err
 
 
+def test_scan_wider_than_the_cap_is_a_usage_error(capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a range over the cap must be refused before the sweep")
+
+    monkeypatch.setattr(search, "_sweep", forbidden)
+    to = str(search.MAX_SCAN_WIDTH + 1)
+    code, out, err = run(capsys, "scan", "--from", "1", "--to", to, "--bound", "1")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: k range 1..{to} holds {to} values, more than the "
+                   f"supported maximum {search.MAX_SCAN_WIDTH}\n")
+
+
 def test_internal_cube_sum_mismatch_is_not_a_usage_error(monkeypatch):
     def broken_verify(x, y, z, k):
         raise residues.CubeSumMismatch(x, y, z, k + 1)
@@ -292,3 +321,4 @@ def test_cli_imports_only_the_standard_library():
     modules = set(proc.stdout.split())
     assert "cubegraph" in modules
     assert modules - sys.stdlib_module_names <= {"cubegraph", "__main__"}
+    assert "pathlib" not in modules  # nothing the CLI imports needs it

@@ -7,25 +7,20 @@ from hypothesis import strategies as st
 
 from cubegraph.debruijn import (
     Alphabet,
-    CyclicSequence,
     DeBruijnGraph,
     FIXTURE_EDGES,
     NotEulerianError,
     TERNARY_ALPHABET,
     build_graph,
     circuit_to_sequence,
+    cyclic_windows,
     debruijn_sequence,
     edge_endpoints,
-    edges_for_class,
     eulerian_circuit,
     eulerian_status,
     fixture_subgraph,
-    is_eulerian,
-    read_edge_file,
-    reverse_edges,
     to_dot,
     validate_cycle,
-    write_edge_file,
 )
 from cubegraph.residues import decompose
 
@@ -38,7 +33,7 @@ BINARY = Alphabet.from_string("01")
 
 
 def oracle_windows(text, n):
-    """Brute-force cyclic windowing, independent of CyclicSequence."""
+    """Brute-force cyclic windowing, independent of cyclic_windows."""
     reps = n // len(text) + 2
     doubled = text * reps
     return [doubled[i:i + n] for i in range(len(text))]
@@ -83,7 +78,6 @@ def test_build_graph_binary():
     g = build_graph(BINARY, 3)
     assert g.nodes == {"00", "01", "10", "11"}
     assert g.edges == full_grams("01", 3)
-    assert g.is_full
 
 
 def test_build_graph_ternary_counts():
@@ -130,12 +124,12 @@ def test_graph_edge_errors_name_the_bad_edge():
 
 
 def test_full_graphs_are_eulerian():
-    assert is_eulerian(build_graph(TERNARY_ALPHABET, 3))
-    assert is_eulerian(build_graph(BINARY, 4))
+    assert eulerian_status(build_graph(TERNARY_ALPHABET, 3)).eulerian
+    assert eulerian_status(build_graph(BINARY, 4)).eulerian
 
 
 def test_fixture_e1_is_eulerian_e0_is_not():
-    assert is_eulerian(fixture_subgraph("E1"))
+    assert eulerian_status(fixture_subgraph("E1")).eulerian
     status = eulerian_status(fixture_subgraph("E0"))
     assert not status
     assert status.unbalanced == ()  # three balanced but disconnected 2-cycles
@@ -144,19 +138,18 @@ def test_fixture_e1_is_eulerian_e0_is_not():
 
 def test_unbalanced_diagnostic():
     g = build_graph(BINARY, 2)
-    status = eulerian_status(g.subgraph(g.edges - {"01"}))
+    status = eulerian_status(DeBruijnGraph(g.alphabet, g.order, g.edges - {"01"}))
     assert not status
     assert "0" in status.unbalanced and "1" in status.unbalanced
 
 
 def test_unbalanced_nodes_listed_in_alphabet_order():
     g = build_graph(Alphabet.from_string("10"), 2)
-    assert eulerian_status(g.subgraph(g.edges - {"01"})).unbalanced == ("1", "0")
+    assert eulerian_status(DeBruijnGraph(g.alphabet, g.order, g.edges - {"01"})).unbalanced == ("1", "0")
 
 
 def test_empty_edge_set_is_eulerian_by_convention():
-    g = build_graph(BINARY, 2)
-    status = eulerian_status(g.subgraph(frozenset()))
+    status = eulerian_status(DeBruijnGraph(BINARY, 2, frozenset()))
     assert status
     assert status.empty
 
@@ -176,15 +169,14 @@ def test_eulerian_circuit_e1_covers_exactly():
 
 
 def test_eulerian_circuit_single_self_loop():
-    g = build_graph(TERNARY_ALPHABET, 3)
-    assert eulerian_circuit(g.subgraph({"000"})) == ["000"]
+    assert eulerian_circuit(DeBruijnGraph(TERNARY_ALPHABET, 3, frozenset({"000"}))) == ["000"]
 
 
 def test_eulerian_circuit_rejects_non_eulerian():
     with pytest.raises(NotEulerianError, match="strongly connected"):
         eulerian_circuit(fixture_subgraph("E0"))
     with pytest.raises(NotEulerianError):
-        eulerian_circuit(build_graph(BINARY, 2).subgraph(frozenset()))
+        eulerian_circuit(DeBruijnGraph(BINARY, 2, frozenset()))
 
 
 def test_eulerian_circuit_is_deterministic():
@@ -198,15 +190,15 @@ def test_circuit_to_sequence_windows_replay_the_circuit():
     circuit = eulerian_circuit(build_graph(BINARY, 3))
     seq = circuit_to_sequence(circuit)
     assert len(seq) == len(circuit)
-    wins = seq.windows(3)
+    wins = cyclic_windows(seq, 3)
     # window i ends at symbol i+2, so the read starts n-1 edges into the circuit
     assert wins == circuit[2:] + circuit[:2]
 
 
 def test_circuit_to_sequence_self_loop():
     seq = circuit_to_sequence(["000"])
-    assert seq.symbols == "0"
-    assert seq.windows(3) == ["000"]
+    assert seq == "0"
+    assert cyclic_windows(seq, 3) == ["000"]
 
 
 def test_circuit_to_sequence_rejects_non_chaining():
@@ -219,21 +211,21 @@ def test_circuit_to_sequence_rejects_non_chaining():
 def test_debruijn_sequence_binary_matches_classic_string():
     seq = debruijn_sequence(BINARY, 3)
     assert len(seq) == 8
-    assert set(seq.windows(3)) == full_grams("01", 3)
-    # rotation-normalized form is the classic low-first string
-    assert seq.canonical().symbols == "00010111"
+    assert set(cyclic_windows(seq, 3)) == full_grams("01", 3)
+    # the least rotation is the classic low-first string
+    assert min(seq[i:] + seq[:i] for i in range(len(seq))) == "00010111"
 
 
 def test_debruijn_sequence_ternary():
     seq = debruijn_sequence(TERNARY_ALPHABET, 3)
     assert len(seq) == 27
-    assert len(set(seq.windows(3))) == 27
+    assert len(set(cyclic_windows(seq, 3))) == 27
 
 
 def test_debruijn_sequence_unary():
     seq = debruijn_sequence(Alphabet.from_string("0"), 2)
-    assert seq.symbols == "0"
-    assert seq.windows(2) == ["00"]
+    assert seq == "0"
+    assert cyclic_windows(seq, 2) == ["00"]
 
 
 def test_debruijn_sequence_rejects_bad_order():
@@ -242,28 +234,28 @@ def test_debruijn_sequence_rejects_bad_order():
 
 
 def test_windows_of_classic_binary_string():
-    wins = CyclicSequence("00010111").windows(3)
+    wins = cyclic_windows("00010111", 3)
     assert len(wins) == 8
     assert set(wins) == full_grams("01", 3)
 
 
 def test_windows_shorter_than_window_length():
-    assert CyclicSequence("0").windows(3) == ["000"]
-    assert CyclicSequence("01").windows(5) == ["01010", "10101"]
+    assert cyclic_windows("0", 3) == ["000"]
+    assert cyclic_windows("01", 5) == ["01010", "10101"]
 
 
 def test_windows_match_oracle_on_ternary_claim():
-    wins = CyclicSequence(TERNARY_CYCLE_23).windows(3)
+    wins = cyclic_windows(TERNARY_CYCLE_23, 3)
     assert wins == oracle_windows(TERNARY_CYCLE_23, 3)
     assert len(wins) == 23
     assert max(Counter(wins).values()) > 1
 
 
-def test_cyclic_sequence_validation_and_canonical():
-    with pytest.raises(ValueError):
-        CyclicSequence("")
-    assert CyclicSequence("110").canonical() == CyclicSequence("011")
-    assert CyclicSequence("01011100").canonical().symbols == "00010111"
+def test_validate_cycle_rejects_empty_sequence():
+    with pytest.raises(ValueError, match="^cyclic sequence must be non-empty$"):
+        validate_cycle("", full_grams("01", 3))
+    with pytest.raises(ValueError, match="^cyclic sequence must be non-empty$"):
+        validate_cycle("", frozenset())
 
 
 def test_validate_cycle_complete_binary():
@@ -286,7 +278,7 @@ def test_validate_cycle_ternary_claim_is_incomplete():
     assert report.covered == frozenset(counts) & target
     assert report.missing == target - set(counts)
     assert report.extra == frozenset()
-    assert report.duplicate_map() == {g: c for g, c in counts.items() if c > 1}
+    assert dict(report.duplicates) == {g: c for g, c in counts.items() if c > 1}
     assert not report.complete
     assert len(report.missing) == 9
 
@@ -318,15 +310,12 @@ def test_validate_cycle_rejects_mixed_gram_lengths():
         validate_cycle("000", {"00", "000"})
 
 
-def test_reverse_edges():
-    assert reverse_edges(FIXTURE_EDGES["E1"]) == FIXTURE_EDGES["E2"]
-    assert reverse_edges({"000"}) == {"000"}
-    assert reverse_edges({"001"}) == {"100"}
-
-
-def test_reverse_edges_fixes_full_edge_set():
-    edges = build_graph(TERNARY_ALPHABET, 3).edges
-    assert reverse_edges(edges) == edges
+def test_derived_fixtures_equal_their_literal_edge_sets():
+    # E0 and E2 are derived from their relations; pin them to the literal sets
+    assert FIXTURE_EDGES["E0"] == {"010", "080", "101", "181", "808", "818"}
+    assert FIXTURE_EDGES["E2"] == {"000", "008", "081", "088", "100", "108",
+                                   "110", "111", "810", "811", "881", "888"}
+    assert FIXTURE_EDGES["E2"] == {e[::-1] for e in FIXTURE_EDGES["E1"]}
 
 
 def test_fixture_partition_of_full_graph():
@@ -342,24 +331,12 @@ def test_fixture_subgraph_unknown_name():
         fixture_subgraph("E3")
 
 
-def test_edges_for_class_examples():
-    g = build_graph(TERNARY_ALPHABET, 3)
-    assert edges_for_class(g, 6) == {"888"}
-    assert edges_for_class(g, 4) == frozenset()
-    assert edges_for_class(g, 0) == {"000", "018", "081", "108", "180", "801", "810"}
-
-
-def test_edges_for_class_rejects_other_alphabets():
-    with pytest.raises(ValueError):
-        edges_for_class(build_graph(BINARY, 3), 0)
-    with pytest.raises(ValueError):
-        edges_for_class(build_graph(TERNARY_ALPHABET, 2), 0)
-
-
 def test_edges_for_class_matches_decompose():
-    g = build_graph(TERNARY_ALPHABET, 3)
+    # the edges of B(018, 3) whose digit sum is z mod 9 spell decompose(z)
+    edges = build_graph(TERNARY_ALPHABET, 3).edges
     for z in range(9):
-        multisets = {tuple(sorted(int(c) for c in e)) for e in edges_for_class(g, z)}
+        multisets = {tuple(sorted(int(c) for c in e)) for e in edges
+                     if sum(int(c) for c in e) % 9 == z}
         assert multisets == {t.residues for t in decompose(z)}
 
 
@@ -371,32 +348,9 @@ def test_to_dot_structure():
     assert '"00" -> "01" [label="001"];' in dot
 
 
-def test_to_dot_styles_and_determinism():
-    g = fixture_subgraph("E0")
-    dot = to_dot(g, highlight={"010"}, dashed={"080", "808"})
-    assert dot.count("style=dashed") == 2
-    assert dot.count("penwidth=2.0") == 1
-    assert dot == to_dot(g, highlight={"010"}, dashed={"080", "808"})
-
-
 def test_to_dot_empty_graph():
-    g = build_graph(BINARY, 2).subgraph(frozenset())
-    dot = to_dot(g)
+    dot = to_dot(DeBruijnGraph(BINARY, 2, frozenset()))
     assert dot.startswith("digraph") and dot.rstrip().endswith("}")
-
-
-def test_edge_file_round_trip(tmp_path):
-    path = tmp_path / "edges.txt"
-    write_edge_file(path, FIXTURE_EDGES["E1"], TERNARY_ALPHABET)
-    assert read_edge_file(path) == FIXTURE_EDGES["E1"]
-    assert path.read_text().splitlines()[0] == "000"  # sorted, one gram per line
-
-
-def test_edge_file_rejects_foreign_symbols(tmp_path):
-    path = tmp_path / "edges.txt"
-    with pytest.raises(ValueError, match=r"^symbols \['2'\] not in alphabet '01'$"):
-        write_edge_file(path, {"001", "012"}, BINARY)
-    assert not path.exists()
 
 
 @given(alphabets, st.integers(2, 4))
@@ -408,14 +362,14 @@ def test_full_graph_counts_and_degrees(alphabet, n):
     out_deg = Counter(e[:-1] for e in g.edges)
     in_deg = Counter(e[1:] for e in g.edges)
     assert all(out_deg[v] == k and in_deg[v] == k for v in g.nodes)
-    assert is_eulerian(g)
+    assert eulerian_status(g).eulerian
 
 
 @settings(max_examples=30, deadline=None)
 @given(alphabets.filter(lambda a: len(a) <= 3), st.integers(2, 4))
 def test_debruijn_sequence_windows_all_distinct(alphabet, n):
     seq = debruijn_sequence(alphabet, n)
-    wins = seq.windows(n)
+    wins = cyclic_windows(seq, n)
     assert len(wins) == len(alphabet) ** n
     assert len(set(wins)) == len(wins)
 
@@ -437,14 +391,8 @@ def test_debruijn_sequence_equals_hierholzer_on_full_graph(case):
 @given(alphabets, st.integers(2, 3))
 def test_circuit_round_trip(alphabet, n):
     circuit = eulerian_circuit(build_graph(alphabet, n))
-    wins = circuit_to_sequence(circuit).windows(n)
+    wins = cyclic_windows(circuit_to_sequence(circuit), n)
     assert wins == circuit[n - 1:] + circuit[:n - 1]
-
-
-@given(alphabets, st.integers(2, 3))
-def test_reversal_is_involution_on_full_graphs(alphabet, n):
-    edges = build_graph(alphabet, n).edges
-    assert reverse_edges(reverse_edges(edges)) == edges
 
 
 def alphabet_key(symbols):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cubegraph import search as search_module
 from cubegraph.residues import CubeSumMismatch, class_of, decompose, label_solution
 from cubegraph.search import (
+    MAX_SCAN_WIDTH,
     MAX_SEARCH_BOUND,
     Representation,
     SearchBounds,
@@ -157,6 +158,18 @@ def test_bounds_validation():
     with pytest.raises(SearchBoundsError):
         SearchBounds(MAX_SEARCH_BOUND + 1)
     SearchBounds(MAX_SEARCH_BOUND)  # boundary is allowed
+
+
+@pytest.mark.parametrize("lo", [1, -MAX_SCAN_WIDTH // 2, -5 * MAX_SCAN_WIDTH])
+def test_bounds_cap_the_scan_width(lo):
+    # only the bounds are built: nothing is scanned at either width
+    SearchBounds(1, (lo, lo + MAX_SCAN_WIDTH - 1))  # exactly the cap is allowed
+    hi = lo + MAX_SCAN_WIDTH
+    with pytest.raises(SearchBoundsError, match=rf"^k range {lo}\.\.{hi} holds "
+                       rf"{MAX_SCAN_WIDTH + 1} values, more than the supported maximum "
+                       rf"{MAX_SCAN_WIDTH}$"):
+        SearchBounds(1, (lo, hi))
+    SearchBounds(1, (hi, lo))  # a reversed range is empty, not too wide
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 8, 25, 60])

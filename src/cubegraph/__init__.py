@@ -35,6 +35,7 @@ from .residues import (
     signed_spellings,
 )
 from .search import (
+    MAX_SCAN_BOUND,
     MAX_SCAN_WIDTH,
     MAX_SEARCH_BOUND,
     Representation,

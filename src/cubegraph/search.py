@@ -1,32 +1,44 @@
 """Bounded search and exact verification of x^3 + y^3 + z^3 = k.
 
-Search strategy: one windowed sweep serves a single k and a whole k interval
-[k_lo, k_hi].  The cube table is built once; for each candidate z in [-B, B]
-a two-pointer pass over it collects every pair x <= y <= z whose x^3 + y^3
-falls in the window [k_lo - z^3, k_hi - z^3], so every solution multiset is
-found exactly once and the whole interval costs O(B^2 + hits).  A single k is
-the window of width 1.  Two mod-9 sieves prune the work: targets in class 4
-or 5 are skipped outright, and for a width-1 window, z values whose pair
-target is unreachable by two cubic residues are dropped.  Verification is
-plain Python integers throughout, so literature-scale solutions with
-16+ digit terms check exactly.
+Two algorithms, one per query shape.  One k (`search_k`) uses the divisor
+method: x + y divides k - z^3, so for each d = |x + y| only the cube roots of
+k mod d are tried as z, about B log B candidates in all.  A window of k
+(`scan_range`) uses one sweep: the cube table is built once, and for each z in
+[-B, B] a two-pointer pass over it collects every pair x <= y <= z whose
+x^3 + y^3 falls in [k_lo - z^3, k_hi - z^3], so the whole window costs
+O(B^2 + hits), far less than one divisor search per k.  Both find each
+solution multiset exactly once.  Two mod-9 sieves prune the work: targets in
+class 4 or 5 are skipped outright, and a z whose pair target k - z^3 is
+unreachable by two cubic residues is dropped (by the sweep only for a
+width-1 window).  Verification is plain Python integers throughout, so
+literature-scale solutions with 16+ digit terms check exactly.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .residues import ResidueTriple, is_feasible, label_solution
 
 # classes reachable by a sum of two cubic residues: {0,1,8} + {0,1,8} mod 9
 TWO_CUBE_CLASSES = frozenset({0, 1, 2, 7, 8})
 
-# The cap keeps one search_k within about half a minute.  Its worst case is
-# a class no z is pruned from, such as k = 0: 2B^2 + 2B + 1 two-pointer steps
-# (k = 2 takes about 1.33 B^2, k = 3 about 0.67 B^2).  At the cap that is
-# 2.0e8 steps, measured at 31 s (6.4M steps/s, one core of a 2-vCPU x86-64
-# machine, CPython 3.11); the cost grows as B^2, so B = 20,000 would take
-# about 2 minutes.  The cube table (2B+1 Python ints) stays small.
-MAX_SEARCH_BOUND = 10_000
+# The cap on `search` (one k, divisor method).  Its worst cases are k = 0 and
+# the cubes: z^3 = k mod d has many roots when k shares small prime factors
+# with d, and they have about B + 1 hits, each rechecked and printed.  At the
+# cap, `search 0 --bound 100000` took 6.4-9.4 s at 81 MB peak RSS (6.1M
+# candidates), `search 27000 --bound 100000` (30^3) 9.0-10.0 s at 82 MB
+# (7.4M), and `search 33 --bound 100000` 1.0-1.5 s at 25 MB (1.9M, no hits;
+# one core of a 2-vCPU x86-64 machine, CPython 3.11).  The candidate count
+# grows as about B log B, a little faster for k = 0 and the cubes.
+MAX_SEARCH_BOUND = 100_000
+
+# The cap on `scan` (a k window, one sweep).  The sweep takes up to
+# (2B + 1)(2B + 2)/2 two-pointer steps for any window; k = 0 alone, from
+# which no z is pruned, takes 2B^2 + 2B + 1.  At the cap that is 2.0e8 steps,
+# measured at 31 s (6.4M steps/s, same machine); the cost grows as B^2, so
+# B = 20,000 would take about 2 minutes.
+MAX_SCAN_BOUND = 10_000
 
 # The widest k range one scan accepts.  A scan keeps one SearchResult per k
 # and prints a line for each, so its time and memory grow with the width even
@@ -50,9 +62,9 @@ class SearchBounds:
     def __post_init__(self):
         if self.bound < 1:
             raise SearchBoundsError(f"bound must be >= 1, got {self.bound}")
-        if self.bound > MAX_SEARCH_BOUND:
-            raise SearchBoundsError(
-                f"bound {self.bound} exceeds the supported maximum {MAX_SEARCH_BOUND}")
+        cap = MAX_SEARCH_BOUND if self.k_range is None else MAX_SCAN_BOUND
+        if self.bound > cap:
+            raise SearchBoundsError(f"bound {self.bound} exceeds the supported maximum {cap}")
         if self.k_range is not None and self.k_range[1] - self.k_range[0] >= MAX_SCAN_WIDTH:
             lo, hi = self.k_range
             raise SearchBoundsError(f"k range {lo}..{hi} holds {hi - lo + 1} values, more than "
@@ -95,6 +107,12 @@ def verify(x: int, y: int, z: int, k: int) -> Representation:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Work counts of one `search_k`: `pairs_scanned` is the (d, z) candidates
+    that reached the perfect-square test, and `z_pruned` the candidates the
+    mod-9 sieve dropped before it.  Both are 0 for a k skipped as infeasible
+    and for every `scan_range` result, whose sweep shares its work across k;
+    `_sweep` returns its own two counts, two-pointer steps and z values pruned."""
+
     pairs_scanned: int = 0
     z_pruned: int = 0
 
@@ -145,15 +163,116 @@ def _verified(k: int, triples: list[tuple[int, int, int]]) -> tuple[Representati
     return tuple(verify(x, y, z, k) for x, y, z in sorted(triples))  # exact recheck of every hit
 
 
+def _smallest_prime_factors(n: int) -> list[int]:
+    """spf[m] is the smallest prime factor of m, for 2 <= m <= n."""
+    spf = list(range(n + 1))
+    small = [p for p in range(2, isqrt(n) + 1) if all(p % q for q in range(2, isqrt(p) + 1))]
+    for p in reversed(small):  # the smallest prime writes last, so it wins
+        spf[p * p::p] = [p] * len(range(p * p, n + 1, p))
+    return spf
+
+
+def _cube_roots_mod_prime(k: int, p: int) -> list[int]:
+    """Every r in [0, p) with r^3 = k (mod p), for a prime p."""
+    k %= p
+    if k == 0:
+        return [0]  # p is prime, so p | r^3 forces p | r
+    if p <= 3:
+        return [r for r in range(p) if r ** 3 % p == k]
+    if p % 3 == 2:  # cubing is a bijection; its inverse is the power (2p - 1) / 3
+        return [pow(k, (2 * p - 1) // 3, p)]
+    if pow(k, (p - 1) // 3, p) != 1:
+        return []  # k is not a cube (Euler's criterion)
+    # Adleman-Manders-Miller: write p - 1 = 3^s t with 3 not dividing t.  x = k^(1/3 mod t)
+    # has x^3 = k * err with err in the cyclic 3-Sylow subgroup generated by c = b^t
+    # (b a cubic non-residue); find err = c^j digit by digit in base 3 and divide
+    # x by c^(j/3).
+    s, t = 0, p - 1
+    while t % 3 == 0:
+        s, t = s + 1, t // 3
+    b = 2
+    while pow(b, (p - 1) // 3, p) == 1:
+        b += 1
+    c = pow(b, t, p)
+    omega = pow(c, 3 ** (s - 1), p)  # b^((p-1)/3), a primitive cube root of unity
+    x = pow(k, pow(3, -1, t), p)
+    err = pow(x, 3, p) * pow(k, -1, p) % p
+    j = 0
+    for i in range(s):
+        h = pow(err * pow(c, -j, p), 3 ** (s - 1 - i), p)  # omega^(digit i of j)
+        if h != 1:
+            j += 3 ** i * (1 if h == omega else 2)
+    x = x * pow(c, -(j // 3), p) % p
+    return [x, x * omega % p, x * omega * omega % p]
+
+
+def _cube_roots_mod_prime_power(k: int, p: int, e: int) -> list[int]:
+    """Every r in [0, p^e) with r^3 = k (mod p^e), lifted one power of p at a
+    time: a root mod p^i reduces to a root mod p^(i-1), so testing the p
+    candidates r + j p^(i-1) above each of those finds them all."""
+    roots, m = _cube_roots_mod_prime(k, p), p
+    for _ in range(e - 1):
+        roots = [z for r in roots for z in range(r, m * p, m) if (z ** 3 - k) % (m * p) == 0]
+        m *= p
+    return roots
+
+
 def search_k(k: int, bounds: SearchBounds | int) -> SearchResult:
     """All representations of k with |x|,|y|,|z| <= bound, deduplicated under
-    x <= y <= z and sorted; skipped without work when k is in class 4 or 5."""
+    x <= y <= z and sorted; skipped without work when k is in class 4 or 5.
+
+    Divisor method (A. R. Booker, "Cracking the problem with 33", Res. Number
+    Theory 5, 2019; A. R. Booker and A. V. Sutherland, "On a question of
+    Mordell", PNAS 118, 2021): k - z^3 = x^3 + y^3 = (x + y)(x^2 - xy + y^2),
+    so d = |x + y| divides k - z^3 and z is a cube root of k mod d.  For each
+    d in 1..2B, z steps by d from each of those roots through [-B, B], less
+    the z < -d/2 that cannot be the largest term; then
+    x + y = d sign(k - z^3), xy = (d^2 - q) / 3 with q = |k - z^3| / d, and
+    x, y are the roots of a quadratic whose discriminant (4q - d^2) / 3 must
+    be a perfect square.  Only hits with z the largest term are kept, so each
+    multiset comes out once.  d = 0 leaves z^3 = k and the family (-t, t, z)."""
     if isinstance(bounds, int):
         bounds = SearchBounds(bounds)
     if not is_feasible(k):
         return SearchResult(k, (), True, SearchStats())
-    found, pairs, pruned = _sweep(k, k, bounds.bound)
-    return SearchResult(k, _verified(k, found[k]), False, SearchStats(pairs, pruned))
+    B = bounds.bound
+    hits = []
+    c = round(k ** (1 / 3)) if 0 <= k <= B ** 3 else 0
+    if c ** 3 == k:  # d = 0: x = -y, and z = c is the largest term for 0 <= y <= c
+        hits.extend((-t, t, c) for t in range(c + 1))
+    spf = _smallest_prime_factors(2 * B)
+    prime_power_roots = {}
+    pairs = pruned = 0
+    for d in range(1, 2 * B + 1):
+        roots, mod, m = [0], 1, d
+        while m > 1 and roots:  # CRT over the prime powers of d
+            p, e = spf[m], 0
+            while m % p == 0:
+                m, e = m // p, e + 1
+            pe = p ** e
+            if pe not in prime_power_roots:
+                prime_power_roots[pe] = _cube_roots_mod_prime_power(k, p, e)
+            inv = pow(mod, -1, pe)
+            roots = [r + mod * ((u - r) * inv % pe) for r in roots for u in prime_power_roots[pe]]
+            mod *= pe
+        lo = max(-B, -(d // 2))  # z >= y >= x and x + y >= -d
+        for r in roots:
+            for z in range(lo + (r - lo) % d, B + 1, d):
+                n = k - z * z * z
+                if n % 9 not in TWO_CUBE_CLASSES:
+                    pruned += 1
+                    continue
+                pairs += 1
+                disc, rem = divmod(4 * abs(n) // d - d * d, 3)  # (x - y)^2
+                if rem or disc < 0:
+                    continue
+                t = isqrt(disc)
+                if t * t != disc:
+                    continue
+                x = ((d if n > 0 else -d) - t) // 2  # t = d (mod 2) follows from 3t^2 + d^2 = 4q
+                if x >= -B and x + t <= z:
+                    hits.append((x, x + t, z))
+    return SearchResult(k, _verified(k, hits), False, SearchStats(pairs, pruned))
 
 
 def scan_range(bounds: SearchBounds, workers: int | None = None) -> list[SearchResult]:

@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,27 @@ def test_search_rejects_oversized_bound(capsys):
     code, _, err = run(capsys, "search", "1", "--bound", "99999999999")
     assert code == 2
     assert "maximum" in err
+
+
+def test_search_bound_cap(capsys):
+    cap = search.MAX_SEARCH_BOUND
+    code, out, err = run(capsys, "search", "4", "--bound", str(cap))  # class 4: no work
+    assert (code, err) == (0, "")
+    assert out.endswith("k=4: infeasible (class 4)\n")
+    code, out, err = run(capsys, "search", "4", "--bound", str(cap + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: bound {cap + 1} exceeds the supported maximum {cap}\n"
+
+
+def test_scan_bound_cap(capsys, monkeypatch):
+    monkeypatch.setattr(search, "_sweep", lambda k_lo, k_hi, B: (defaultdict(list), 0, 0))  # no hits, no work
+    cap = search.MAX_SCAN_BOUND
+    code, out, err = run(capsys, "scan", "--from", "4", "--to", "5", "--bound", str(cap))
+    assert (code, err) == (0, "")
+    assert out.endswith("scanned 2 value(s) of k: 0 representation(s), 2 infeasible\n")
+    code, out, err = run(capsys, "scan", "--from", "4", "--to", "5", "--bound", str(cap + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: bound {cap + 1} exceeds the supported maximum {cap}\n"
 
 
 def test_scan_reversed_range_is_a_usage_error(capsys):

@@ -1,18 +1,20 @@
 from functools import lru_cache
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubegraph import search as search_module
 from cubegraph.residues import CubeSumMismatch, class_of, decompose, label_solution
 from cubegraph.search import (
+    MAX_SCAN_BOUND,
     MAX_SCAN_WIDTH,
     MAX_SEARCH_BOUND,
+    TWO_CUBE_CLASSES,
     Representation,
     SearchBounds,
     SearchBoundsError,
-    SearchStats,
     scan_range,
     search_k,
     verify,
@@ -175,11 +177,23 @@ def test_bounds_cap_the_scan_width(lo):
 @pytest.mark.parametrize("b", [1, 2, 3, 8, 25, 60])
 def test_sweep_cost_model(b):
     # the two-pointer pass for z takes at most zi + 1 steps; k = 0, from which
-    # no z is pruned, takes exactly 2b^2 + 2b + 1 in all.  MAX_SEARCH_BOUND's
+    # no z is pruned, takes exactly 2b^2 + 2b + 1 in all.  MAX_SCAN_BOUND's
     # worst-case runtime rests on this count.
-    assert search_k(0, b).stats.pairs_scanned == 2 * b * b + 2 * b + 1
+    assert search_module._sweep(0, 0, b)[1] == 2 * b * b + 2 * b + 1
     for k in range(-40, 41):
-        assert search_k(k, b).stats.pairs_scanned <= (2 * b + 1) * (2 * b + 2) // 2
+        assert search_module._sweep(k, k, b)[1] <= (2 * b + 1) * (2 * b + 2) // 2
+
+
+@pytest.mark.parametrize("b", [1, 2, 5, 17])
+@pytest.mark.parametrize("k", [0, 2, 29, -33])
+def test_divisor_cost_model(k, b):
+    # a candidate is a d in 1..2b and a z in [-b, b], z >= -d/2, with d | k - z^3;
+    # the mod-9 sieve drops those whose k - z^3 no two cubes reach
+    candidates = [z for d in range(1, 2 * b + 1) for z in range(max(-b, -(d // 2)), b + 1)
+                  if (k - z ** 3) % d == 0]
+    stats = search_k(k, b).stats
+    assert stats.pairs_scanned + stats.z_pruned == len(candidates)
+    assert stats.z_pruned == sum((k - z ** 3) % 9 not in TWO_CUBE_CLASSES for z in candidates)
 
 
 def test_scan_range_marks_infeasible():
@@ -219,8 +233,8 @@ def test_search_matches_oracle_property(k, bound):
 def test_search_stats_count_the_same_work_for_any_hit_count():
     # pinned from the per-k two-pointer search the windowed sweep replaced;
     # k=0 has 31 hits, so each hit must cost one pair step, as it did there
-    assert search_k(29, 20).stats == SearchStats(pairs_scanned=558, z_pruned=14)
-    assert search_k(0, 30).stats == SearchStats(pairs_scanned=1861, z_pruned=0)
+    assert search_module._sweep(29, 29, 20)[1:] == (558, 14)
+    assert search_module._sweep(0, 0, 30)[1:] == (1861, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,3 +248,52 @@ def test_scan_range_matches_oracle_property(bound, start, width):
         assert found_triples(r) == oracle_search(r.k, bound), (r.k, bound)
         if not r.skipped:
             assert found_triples(r) == found_triples(search_k(r.k, bound))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(-400, 400), st.integers(-700_000, 700_000)), st.integers(1, 60))
+@example(0, 1)
+@example(0, 60)
+@example(1, 60)
+@example(8, 60)
+@example(54, 60)  # 2 * 3^3: roots mod 9 and 27 lifted with 27 | k
+@example(729, 60)
+@example(729, 8)  # a cube whose root lies outside the box
+@example(-729, 60)
+@example(-2, 60)
+@example(-33, 60)
+@example(-42, 60)
+def test_divisor_search_matches_the_sweep(k, bound):
+    found, _, _ = search_module._sweep(k, k, bound)
+    assert found_triples(search_k(k, bound)) == sorted(found[k])
+
+
+def test_smallest_prime_factors():
+    spf = search_module._smallest_prime_factors(2000)
+    assert all(spf[m] == next(q for q in range(2, m + 1) if m % q == 0) for m in range(2, 2001))
+
+
+def test_cube_roots_mod_prime_powers_match_brute_force():
+    # every prime power up to 2000: p = 2 and 3, p | k and p^2 | k, and primes
+    # p = 1 (mod 9) such as 19, 37 and 109, whose 3-Sylow subgroup has order >= 9
+    primes = [p for p in range(2, 2001) if all(p % q for q in range(2, isqrt(p) + 1))]
+    for p in primes:
+        e = 1
+        while p ** e <= 2000:
+            m = p ** e
+            roots_of = {}
+            for r in range(m):
+                roots_of.setdefault(r ** 3 % m, []).append(r)
+            for k in range(-60, 61):
+                got = sorted(search_module._cube_roots_mod_prime_power(k, p, e))
+                assert got == roots_of.get(k % m, []), (k, p, e)
+            e += 1
+
+
+def test_scan_bound_has_its_own_cap():
+    assert MAX_SCAN_BOUND < MAX_SEARCH_BOUND
+    SearchBounds(MAX_SCAN_BOUND, (1, 2))  # exactly the cap is allowed
+    with pytest.raises(SearchBoundsError, match=rf"^bound {MAX_SCAN_BOUND + 1} exceeds the "
+                       rf"supported maximum {MAX_SCAN_BOUND}$"):
+        SearchBounds(MAX_SCAN_BOUND + 1, (1, 2))
+    SearchBounds(MAX_SCAN_BOUND + 1)  # one k: the search cap applies

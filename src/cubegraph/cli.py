@@ -152,7 +152,9 @@ def cmd_verify_corpus(args) -> tuple[int, str]:
     parse_errors = invalid = valid = 0
     for i, raw in enumerate(raw_rows, start=2):  # line 1 is the header
         try:
-            k, x, y, z = (int(str(raw[c]).strip()) for c in ("k", "x", "y", "z"))
+            # a short row's missing cells are None: str.strip raises TypeError.  int
+            # alone would strip too, but not the separators \x1c-\x1f
+            k, x, y, z = map(int, map(str.strip, (raw["k"], raw["x"], raw["y"], raw["z"])))
         except (TypeError, ValueError):
             parse_errors += 1
             lines.append(f"line {i}: parse error in {raw!r}")
@@ -161,7 +163,8 @@ def cmd_verify_corpus(args) -> tuple[int, str]:
             rep = search.verify(x, y, z, k)
         except residues.CubeSumMismatch as err:
             invalid += 1
-            lines.append(f"line {i}: k={k} ({x},{y},{z}) INVALID sum={err.actual_sum}")
+            lines.append(f"line {i}: k={k} ({x},{y},{z}) "
+                         f"INVALID sum={residues.exact_str(err.actual_sum)}")
             continue
         valid += 1
         signed = residues.signed_spelling_for(x, y, z)

@@ -19,28 +19,27 @@ A cyclic sequence is a plain non-empty str: its windows wrap around the
 end (cyclic_windows), and every rotation names the same cycle.
 """
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import product
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Ordered distinct single-character symbols; order defines tie-breaking."""
+class Alphabet(namedtuple("Alphabet", "symbols")):
+    """Ordered distinct single-character symbols; order defines tie-breaking.
 
-    symbols: tuple[str, ...]
-    _order: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    Equality and hashing see the symbols only, and len() counts them.  The
+    instance dict holds just the gram-order table derived from the symbols."""
 
-    def __post_init__(self):
-        if not self.symbols:
+    def __new__(cls, symbols: tuple[str, ...]):
+        if not symbols:
             raise ValueError("alphabet must be non-empty")
-        if any(len(s) != 1 for s in self.symbols):
-            raise ValueError(f"symbols must be single characters: {self.symbols!r}")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError(f"duplicate symbols: {self.symbols!r}")
+        if any(len(s) != 1 for s in symbols):
+            raise ValueError(f"symbols must be single characters: {symbols!r}")
+        if len(set(symbols)) != len(symbols):
+            raise ValueError(f"duplicate symbols: {symbols!r}")
+        self = super().__new__(cls, symbols)
         # symbol -> chr(rank): a translated gram sorts in alphabet order
-        ranks = {s: chr(i) for i, s in enumerate(self.symbols)}
-        object.__setattr__(self, "_order", str.maketrans(ranks))
+        self._order = str.maketrans({s: chr(i) for i, s in enumerate(symbols)})
+        return self
 
     @classmethod
     def from_string(cls, text: str) -> "Alphabet":
@@ -69,22 +68,19 @@ def edge_endpoints(edge: str) -> tuple[str, str]:
     return edge[:-1], edge[1:]
 
 
-@dataclass(frozen=True)
-class DeBruijnGraph:
+class DeBruijnGraph(namedtuple("DeBruijnGraph", "alphabet order edges")):
     """A De Bruijn graph or edge-subgraph: edges are n-grams, nodes induced."""
 
-    alphabet: Alphabet
-    order: int
-    edges: frozenset[str]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order < 2:
-            raise ValueError(f"order must be >= 2, got {self.order}")
+    def __new__(cls, alphabet: Alphabet, order: int, edges: frozenset[str]):
+        if order < 2:
+            raise ValueError(f"order must be >= 2, got {order}")
         # one bulk pass; the per-edge loop only runs to name the bad edge
-        if set(map(len, self.edges)) - {self.order} or \
-                not set("".join(self.edges)).issubset(self.alphabet.symbols):
-            for e in self.edges:
-                self.alphabet.check_gram(e, self.order)
+        if set(map(len, edges)) - {order} or not set("".join(edges)).issubset(alphabet.symbols):
+            for e in edges:
+                alphabet.check_gram(e, order)
+        return super().__new__(cls, alphabet, order, edges)
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -99,14 +95,13 @@ def build_graph(alphabet: Alphabet, order: int) -> DeBruijnGraph:
     return DeBruijnGraph(alphabet, order, edges)
 
 
-@dataclass(frozen=True)
-class EulerianStatus:
-    """Outcome of the directed Eulerian-circuit test with diagnostics."""
+class EulerianStatus(namedtuple("EulerianStatus", "eulerian unbalanced connected empty")):
+    """Outcome of the directed Eulerian-circuit test with diagnostics:
+    `unbalanced` names the nodes with in-degree != out-degree, `connected`
+    says the active nodes form one strongly connected piece, and `empty`
+    that there are no edges at all (eulerian by convention)."""
 
-    eulerian: bool
-    unbalanced: tuple[str, ...]  # nodes with in-degree != out-degree
-    connected: bool              # active nodes form one strongly connected piece
-    empty: bool                  # no edges at all (eulerian by convention)
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.eulerian
@@ -255,14 +250,11 @@ def debruijn_sequence(alphabet: Alphabet, order: int) -> str:
     return "".join(map(alphabet.symbols.__getitem__, seq[r:] + seq[:r]))
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    """How the cyclic windows of a string relate to a target edge set."""
+class CoverageReport(namedtuple("CoverageReport", "covered missing extra duplicates")):
+    """How the cyclic windows of a string relate to a target edge set:
+    `duplicates` holds (window, count > 1) pairs, sorted."""
 
-    covered: frozenset[str]
-    missing: frozenset[str]
-    extra: frozenset[str]
-    duplicates: tuple[tuple[str, int], ...]  # (window, count>1), sorted
+    __slots__ = ()
 
     @property
     def complete(self) -> bool:

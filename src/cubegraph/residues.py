@@ -8,7 +8,8 @@ pure function on plain ints; negative inputs use mathematical modulus
 (results always in 0..8).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import cache
 from itertools import combinations_with_replacement, product
 
 CUBIC_RESIDUES = frozenset({0, 1, 8})
@@ -23,10 +24,23 @@ class CubeSumMismatch(ValueError):
     def __init__(self, x: int, y: int, z: int, k: int):
         self.actual_sum = x**3 + y**3 + z**3
         self.claimed = k
-        msg = f"{x}^3 + {y}^3 + {z}^3 = {self.actual_sum}, not {k}"
+        msg = f"{x}^3 + {y}^3 + {z}^3 = {exact_str(self.actual_sum)}, not {k}"
         if class_of(k) in INFEASIBLE_CLASSES:
             msg += f" (k is in class {class_of(k)}, which admits no solution at all)"
         super().__init__(msg)
+
+
+_BLOCK = 10**640  # 640 digits: the lowest limit sys.set_int_max_str_digits accepts
+
+
+def exact_str(n: int) -> str:
+    """str(n) for any int.  A cube sum of terms that parsed can have more
+    digits than the interpreter converts at once (sys.get_int_max_str_digits),
+    so a large n is written in blocks of 640 digits."""
+    if -_BLOCK < n < _BLOCK:
+        return str(n)
+    high, low = divmod(abs(n), _BLOCK)
+    return ("-" if n < 0 else "") + exact_str(high) + str(low).zfill(640)
 
 
 def class_of(k: int) -> int:
@@ -34,9 +48,12 @@ def class_of(k: int) -> int:
     return k % 9
 
 
+_CUBE_RESIDUE = tuple(r ** 3 % 9 for r in range(9))  # n^3 mod 9 depends on n mod 9 only
+
+
 def cube_residue(n: int) -> int:
     """Residue of n^3 mod 9; always one of {0, 1, 8}."""
-    return (n % 9) ** 3 % 9
+    return _CUBE_RESIDUE[n % 9]
 
 
 def is_feasible(k: int) -> bool:
@@ -44,17 +61,17 @@ def is_feasible(k: int) -> bool:
     return class_of(k) not in INFEASIBLE_CLASSES
 
 
-@dataclass(frozen=True, order=True)
-class ResidueTriple:
+class ResidueTriple(namedtuple("ResidueTriple", "residues")):
     """Unordered multiset of three cubic residues, stored sorted ascending."""
 
-    residues: tuple[int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.residues) != 3 or any(r not in CUBIC_RESIDUES for r in self.residues):
-            raise ValueError(f"need three values from {{0,1,8}}, got {self.residues!r}")
-        if tuple(sorted(self.residues)) != self.residues:
-            raise ValueError(f"residues must be sorted ascending: {self.residues!r}")
+    def __new__(cls, residues: tuple[int, int, int]):
+        if len(residues) != 3 or any(r not in CUBIC_RESIDUES for r in residues):
+            raise ValueError(f"need three values from {{0,1,8}}, got {residues!r}")
+        if tuple(sorted(residues)) != residues:
+            raise ValueError(f"residues must be sorted ascending: {residues!r}")
+        return super().__new__(cls, residues)
 
     @classmethod
     def of(cls, a: int, b: int, c: int) -> "ResidueTriple":
@@ -69,18 +86,18 @@ class ResidueTriple:
         return _spell_terms(self.residues)
 
 
-@dataclass(frozen=True, order=True)
-class SignedSpelling:
+class SignedSpelling(namedtuple("SignedSpelling", "entries")):
     """A residue triple with each 8 optionally written as its symmetric
     representative -1.  Entries are sorted ascending (-1 < 0 < 1 < 8)."""
 
-    entries: tuple[int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.entries) != 3 or any(e not in (-1, 0, 1, 8) for e in self.entries):
-            raise ValueError(f"entries must be from {{-1,0,1,8}}, got {self.entries!r}")
-        if tuple(sorted(self.entries)) != self.entries:
-            raise ValueError(f"entries must be sorted ascending: {self.entries!r}")
+    def __new__(cls, entries: tuple[int, int, int]):
+        if len(entries) != 3 or any(e not in (-1, 0, 1, 8) for e in entries):
+            raise ValueError(f"entries must be from {{-1,0,1,8}}, got {entries!r}")
+        if tuple(sorted(entries)) != entries:
+            raise ValueError(f"entries must be sorted ascending: {entries!r}")
+        return super().__new__(cls, entries)
 
     @classmethod
     def of(cls, a: int, b: int, c: int) -> "SignedSpelling":
@@ -91,6 +108,7 @@ class SignedSpelling:
         return _spell_terms(self.entries)
 
 
+@cache  # only a few dozen distinct spellings exist
 def _spell_terms(terms) -> str:
     out = str(terms[0])
     for t in terms[1:]:
@@ -120,14 +138,19 @@ def signed_spellings(triple: ResidueTriple) -> frozenset[SignedSpelling]:
     return frozenset(SignedSpelling.of(*c) for c in product(*choices))
 
 
+# Every label a solution can get, built once: the residue triple keyed by the
+# terms' residues in term order, the signed spelling keyed by their signed
+# entries.  A term's signed entry is _ENTRY[n < 0][n % 9]: its cube residue,
+# with 8 written -1 when the term is negative.
+_TRIPLE = {t: ResidueTriple.of(*t) for t in product((0, 1, 8), repeat=3)}
+_SPELLING = {e: SignedSpelling.of(*e) for e in product((-1, 0, 1, 8), repeat=3)}
+_ENTRY = (_CUBE_RESIDUE, tuple(-1 if r == 8 else r for r in _CUBE_RESIDUE))
+
+
 def signed_spelling_for(x: int, y: int, z: int) -> SignedSpelling:
     """Spelling of a concrete solution: residue 8 is written -1 when the
     underlying integer is negative (presentation choice, not arithmetic)."""
-    entries = []
-    for n in (x, y, z):
-        r = cube_residue(n)
-        entries.append(-1 if r == 8 and n < 0 else r)
-    return SignedSpelling.of(*entries)
+    return _SPELLING[_ENTRY[x < 0][x % 9], _ENTRY[y < 0][y % 9], _ENTRY[z < 0][z % 9]]
 
 
 def label_solution(x: int, y: int, z: int, k: int) -> ResidueTriple:
@@ -138,4 +161,4 @@ def label_solution(x: int, y: int, z: int, k: int) -> ResidueTriple:
     """
     if x**3 + y**3 + z**3 != k:
         raise CubeSumMismatch(x, y, z, k)
-    return ResidueTriple.of(cube_residue(x), cube_residue(y), cube_residue(z))
+    return _TRIPLE[_CUBE_RESIDUE[x % 9], _CUBE_RESIDUE[y % 9], _CUBE_RESIDUE[z % 9]]

@@ -14,8 +14,7 @@ width-1 window).  Verification is plain Python integers throughout, so
 literature-scale solutions with 16+ digit terms check exactly.
 """
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 from math import isqrt
 
 from .residues import ResidueTriple, is_feasible, label_solution
@@ -52,46 +51,40 @@ class SearchBoundsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(namedtuple("SearchBounds", "bound k_range")):
     """Search box |x|,|y|,|z| <= bound, plus an optional inclusive k interval."""
 
-    bound: int
-    k_range: tuple[int, int] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bound < 1:
-            raise SearchBoundsError(f"bound must be >= 1, got {self.bound}")
-        cap = MAX_SEARCH_BOUND if self.k_range is None else MAX_SCAN_BOUND
-        if self.bound > cap:
-            raise SearchBoundsError(f"bound {self.bound} exceeds the supported maximum {cap}")
-        if self.k_range is not None and self.k_range[1] - self.k_range[0] >= MAX_SCAN_WIDTH:
-            lo, hi = self.k_range
+    def __new__(cls, bound: int, k_range: tuple[int, int] | None = None):
+        if bound < 1:
+            raise SearchBoundsError(f"bound must be >= 1, got {bound}")
+        cap = MAX_SEARCH_BOUND if k_range is None else MAX_SCAN_BOUND
+        if bound > cap:
+            raise SearchBoundsError(f"bound {bound} exceeds the supported maximum {cap}")
+        if k_range is not None and k_range[1] - k_range[0] >= MAX_SCAN_WIDTH:
+            lo, hi = k_range
             raise SearchBoundsError(f"k range {lo}..{hi} holds {hi - lo + 1} values, more than "
                                     f"the supported maximum {MAX_SCAN_WIDTH}")
+        return super().__new__(cls, bound, k_range)
 
 
-@dataclass(frozen=True, order=True)
-class Representation:
+class Representation(namedtuple("Representation", "x y z k path")):
     """A verified solution x^3 + y^3 + z^3 = k in canonical order x <= y <= z.
 
     The residue path is computed from the terms when not given; a given
-    path must match it."""
+    path must match it.  The path is a function of (x, y, z, k), so it never
+    decides an order or an equality."""
 
-    x: int
-    y: int
-    z: int
-    k: int
-    path: ResidueTriple | None = field(default=None, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.x <= self.y <= self.z:
-            raise ValueError(f"not in canonical order: ({self.x}, {self.y}, {self.z})")
-        expected = label_solution(self.x, self.y, self.z, self.k)  # checks the cube identity
-        if self.path is None:
-            object.__setattr__(self, "path", expected)
-        elif self.path != expected:
-            raise ValueError(f"path {self.path} does not match {expected}")
+    def __new__(cls, x: int, y: int, z: int, k: int, path: ResidueTriple | None = None):
+        if not x <= y <= z:
+            raise ValueError(f"not in canonical order: ({x}, {y}, {z})")
+        expected = label_solution(x, y, z, k)  # checks the cube identity
+        if path is not None and path != expected:
+            raise ValueError(f"path {path} does not match {expected}")
+        return super().__new__(cls, x, y, z, k, expected)
 
     def triple(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
@@ -105,24 +98,18 @@ def verify(x: int, y: int, z: int, k: int) -> Representation:
     return Representation(a, b, c, k)
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(namedtuple("SearchStats", "pairs_scanned z_pruned", defaults=(0, 0))):
     """Work counts of one `search_k`: `pairs_scanned` is the (d, z) candidates
     that reached the perfect-square test, and `z_pruned` the candidates the
     mod-9 sieve dropped before it.  Both are 0 for a k skipped as infeasible
     and for every `scan_range` result, whose sweep shares its work across k;
     `_sweep` returns its own two counts, two-pointer steps and z values pruned."""
 
-    pairs_scanned: int = 0
-    z_pruned: int = 0
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    k: int
-    representations: tuple[Representation, ...]  # sorted lexicographically on (x, y, z)
-    skipped: bool
-    stats: SearchStats
+# representations: a tuple of Representation, sorted lexicographically on (x, y, z)
+SearchResult = namedtuple("SearchResult", "k representations skipped stats")
 
 
 def _sweep(k_lo: int, k_hi: int, B: int) -> tuple[dict[int, list[tuple[int, int, int]]], int, int]:

@@ -246,11 +246,50 @@ def test_verify_corpus_flags_mismatch_and_continues(capsys, tmp_path):
 
 def test_verify_corpus_parse_error_reports_line(capsys, tmp_path):
     corpus = tmp_path / "corpus.csv"
-    corpus.write_text("k,x,y,z\n15,-265,-262,332\n1,one,2,3\n")
+    corpus.write_text("k,x,y,z\n15,-265,-262,332\n1,one,2,3\n"
+                      " 29 , 1,\t1, 3\n"      # padded: parses
+                      "\x1f29,1,1,3\x1c\n"   # str.strip whitespace that int alone keeps
+                      "1,2\n"                 # short: missing cells are None
+                      "29,1,1,3,extra\n"      # long: the extra cell is ignored
+                      ",,,\n")
     code, out, _ = run(capsys, "verify-corpus", str(corpus))
     assert code == 2
-    assert "line 3: parse error" in out
-    assert "1 parse error(s)" in out
+    assert out.splitlines()[1:] == [
+        "line 3: parse error in {'k': '1', 'x': 'one', 'y': '2', 'z': '3'}",
+        "line 4: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1",
+        "line 5: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1",
+        "line 6: parse error in {'k': '1', 'x': '2', 'y': None, 'z': None}",
+        "line 7: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1",
+        "line 8: parse error in {'k': '', 'x': '', 'y': '', 'z': ''}",
+        "4 valid, 0 invalid, 3 parse error(s)",
+    ]
+
+
+def test_verify_corpus_reports_a_cube_sum_past_the_conversion_limit(capsys, tmp_path):
+    # each term parses (1,501 digits), but the cube sum has 4,501: more than
+    # the interpreter converts to str at once.  The row is still reported.
+    big = "1" + "0" * 1500
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text(f"k,x,y,z\n29,1,1,3\n1,{big},0,0\n35,1,2,3\n")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "verify-corpus", str(corpus))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "line 2: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1",
+        f"line 3: k=1 ({big},0,0) INVALID sum=1{'0' * 4500}",
+        "line 4: k=35 (1,2,3) INVALID sum=36",
+        "1 valid, 2 invalid, 0 parse error(s)",
+    ]
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_verify_corpus_term_past_the_conversion_limit_is_a_parse_error(capsys, tmp_path):
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("k,x,y,z\n1,1" + "0" * (sys.get_int_max_str_digits() + 1) + ",0,0\n")
+    code, out, _ = run(capsys, "verify-corpus", str(corpus))
+    assert code == 2
+    assert out.startswith("line 2: parse error in ")
+    assert out.endswith("0 valid, 0 invalid, 1 parse error(s)\n")
 
 
 def test_verify_corpus_accepts_huge_integers(capsys, tmp_path):
@@ -344,3 +383,5 @@ def test_cli_imports_only_the_standard_library():
     assert "cubegraph" in modules
     assert modules - sys.stdlib_module_names <= {"cubegraph", "__main__"}
     assert "pathlib" not in modules  # nothing the CLI imports needs it
+    assert "dataclasses" not in modules  # it pulls in inspect: tens of ms per start
+    assert "inspect" not in modules

@@ -69,6 +69,25 @@ def test_alphabet_validation():
         Alphabet(("ab",))
 
 
+def test_alphabet_equality_and_hash_see_the_symbols_only():
+    a, b = Alphabet(("0", "1")), Alphabet.from_string("01")
+    assert a == b and hash(a) == hash(b)
+    assert a is not b and a.sort_key("10") == b.sort_key("10")
+    assert {a: 1}[b] == 1
+    assert Alphabet.from_string("10") != a
+    assert len(Alphabet.from_string("018")) == 3
+
+
+def test_graph_is_immutable():
+    graph = build_graph(BINARY, 3)
+    with pytest.raises(AttributeError):
+        graph.edges = frozenset()
+    with pytest.raises(AttributeError):
+        graph.order = 4
+    with pytest.raises(AttributeError):
+        BINARY.symbols = ("1", "0")
+
+
 def test_alphabet_order_defines_sort_key():
     weird = Alphabet.from_string("820")
     assert sorted(["02", "28", "80"], key=weird.sort_key) == ["80", "28", "02"]

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubegraph.residues import (
@@ -13,6 +13,7 @@ from cubegraph.residues import (
     class_of,
     cube_residue,
     decompose,
+    exact_str,
     is_feasible,
     label_solution,
     signed_spelling_for,
@@ -156,3 +157,69 @@ def test_residue_triple_validation():
         ResidueTriple((8, 1, 0))  # not sorted
     with pytest.raises(ValueError):
         SignedSpelling((0, 2, 8))
+
+
+# small ints and 40-digit ints, of both signs
+terms = st.one_of(st.integers(-100, 100), st.integers(-10**40, 10**40))
+
+
+# Each example spells three terms: together they cover every
+# (n mod 9, sign) pair, n = r + 9 for the positive and n = r - 9 for the
+# negative terms with r in 0..8.
+@example(9, 10, 11)
+@example(12, 13, 14)
+@example(15, 16, 17)
+@example(-9, -8, -7)
+@example(-6, -5, -4)
+@example(-3, -2, -1)
+@given(terms, terms, terms)
+def test_signed_spelling_for_matches_arithmetic(x, y, z):
+    # the arithmetic the lookup tables replaced
+    oracle = SignedSpelling.of(
+        *(-1 if cube_residue(n) == 8 and n < 0 else cube_residue(n) for n in (x, y, z)))
+    assert signed_spelling_for(x, y, z) == oracle
+    assert type(signed_spelling_for(x, y, z)) is SignedSpelling
+
+
+@settings(max_examples=50)
+@example(9, 10, 11)
+@example(-9, -8, -7)
+@given(terms, terms, terms)
+def test_looked_up_labels_belong_to_their_class(x, y, z):
+    k = x**3 + y**3 + z**3
+    path = label_solution(x, y, z, k)
+    assert path == ResidueTriple.of(cube_residue(x), cube_residue(y), cube_residue(z))
+    assert path in decompose(class_of(k))
+    assert signed_spelling_for(x, y, z) in signed_spellings(path)
+
+
+@settings(max_examples=50)
+@given(terms, terms, terms, st.integers(-10**40, 10**40).filter(bool))
+def test_label_solution_mismatch_carries_the_exact_sum(x, y, z, off):
+    k = x**3 + y**3 + z**3
+    with pytest.raises(CubeSumMismatch) as exc:
+        label_solution(x, y, z, k + off)
+    assert exc.value.actual_sum == k
+    assert exc.value.claimed == k + off
+
+
+def test_exact_str_writes_ints_past_the_conversion_limit():
+    assert exact_str(0) == "0"
+    assert exact_str(-12345) == "-12345"
+    assert exact_str(10**640) == "1" + "0" * 640
+    assert exact_str(-(10**4500 + 7)) == "-1" + "0" * 4499 + "7"
+    assert exact_str(int("9" * 4000) * 10**4000) == "9" * 4000 + "0" * 4000
+
+
+def test_mismatch_message_survives_a_sum_past_the_conversion_limit():
+    with pytest.raises(CubeSumMismatch) as exc:
+        label_solution(10**1500, 0, 0, 1)
+    assert exc.value.actual_sum == 10**4500
+    assert str(exc.value).endswith(" = 1" + "0" * 4500 + ", not 1")
+
+
+def test_residue_values_are_immutable():
+    with pytest.raises(AttributeError):
+        ResidueTriple.of(0, 1, 8).residues = (0, 0, 0)
+    with pytest.raises(AttributeError):
+        SignedSpelling.of(-1, 0, 1).entries = (0, 0, 0)

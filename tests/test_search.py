@@ -1,5 +1,6 @@
 from functools import lru_cache
 from math import isqrt
+from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from cubegraph.search import (
     Representation,
     SearchBounds,
     SearchBoundsError,
+    SearchStats,
     scan_range,
     search_k,
     verify,
@@ -140,6 +142,36 @@ def test_representation_computes_or_checks_its_path():
         Representation(1, 1, 3, 29, next(iter(decompose(0))))
     with pytest.raises(CubeSumMismatch):
         Representation(1, 1, 3, 30)
+
+
+@settings(max_examples=50)
+@given(st.lists(st.tuples(*[st.integers(-4, 4)] * 3), max_size=8))
+def test_representation_order_and_equality_follow_the_terms(triples):
+    # the path is a function of (x, y, z, k), so comparing it too moves nothing
+    reps = [verify(x, y, z, x**3 + y**3 + z**3) for x, y, z in triples]
+    key = attrgetter("x", "y", "z", "k")
+    assert sorted(reps) == sorted(reps, key=key)
+    for a in reps:
+        for b in reps:
+            assert (a == b) == (key(a) == key(b))
+            assert (a < b) == (key(a) < key(b))
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+def test_search_values_are_immutable():
+    rep = verify(1, 1, 3, 29)
+    with pytest.raises(AttributeError):
+        rep.k = 30
+    with pytest.raises(AttributeError):
+        rep.path = None
+    with pytest.raises(AttributeError):
+        SearchBounds(5).bound = 6
+
+
+def test_search_stats_default_to_zero():
+    assert SearchStats() == (0, 0)
+    assert SearchStats().pairs_scanned == SearchStats().z_pruned == 0
 
 
 def test_verify_labels_each_hit_once(monkeypatch):

@@ -7,9 +7,11 @@ from .debruijn import (
     DeBruijnGraph,
     EulerianStatus,
     FIXTURE_EDGES,
+    MAX_DEBRUIJN_EDGES,
     NotEulerianError,
     TERNARY_ALPHABET,
     build_graph,
+    check_order,
     circuit_to_sequence,
     cyclic_windows,
     debruijn_sequence,
@@ -19,6 +21,7 @@ from .debruijn import (
     fixture_subgraph,
     to_dot,
     validate_cycle,
+    validate_full,
 )
 from .residues import (
     CUBIC_RESIDUES,

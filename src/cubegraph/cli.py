@@ -84,17 +84,18 @@ def cmd_cycle(args) -> tuple[int, str]:
 def cmd_validate(args) -> tuple[int, str]:
     if args.against == "full":
         alphabet = debruijn.Alphabet.from_string(args.alphabet)
-        target = debruijn.build_graph(alphabet, args.order).edges
+        report = debruijn.validate_full(args.cycle, alphabet, args.order)
     else:
         alphabet = debruijn.TERNARY_ALPHABET
-        target = debruijn.FIXTURE_EDGES[args.against]
-    alphabet.check_gram(args.cycle)  # symbol outside the alphabet is a usage error
+        report = debruijn.validate_cycle(args.cycle, debruijn.FIXTURE_EDGES[args.against])
+    # a symbol outside the alphabet is a usage error, reported after a bad
+    # order or an empty sequence
+    alphabet.check_gram(args.cycle)
 
-    report = debruijn.validate_cycle(args.cycle, target)
     key = alphabet.sort_key
     lines = [
         f"windows: {len(args.cycle)}",
-        f"covered: {len(report.covered)}/{len(target)}",
+        f"covered: {len(report.covered)}/{len(report.covered) + len(report.missing)}",
         f"missing ({len(report.missing)}): {' '.join(sorted(report.missing, key=key))}".rstrip(),
         f"extra ({len(report.extra)}): {' '.join(sorted(report.extra, key=key))}".rstrip(),
         "duplicates: " + (", ".join(f"{g} x{c}" for g, c in report.duplicates) or "none"),
@@ -139,38 +140,39 @@ def cmd_scan(args) -> tuple[int, str]:
 
 
 def cmd_verify_corpus(args) -> tuple[int, str]:
+    lines = []
+    parse_errors = invalid = valid = 0
     try:
         with open(args.corpus, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"k", "x", "y", "z"} <= set(reader.fieldnames):
                 return EXIT_USAGE, f"{args.corpus}: header must contain columns k,x,y,z"
-            raw_rows = list(reader)
+            for raw in reader:
+                # the file line the record ends on, read as it is read: csv
+                # skips blank lines, and a quoted field can span lines
+                i = reader.line_num
+                try:
+                    # a short row's missing cells are None: str.strip raises TypeError.
+                    # int alone would strip too, but not the separators \x1c-\x1f
+                    k, x, y, z = map(int, map(str.strip, (raw["k"], raw["x"], raw["y"], raw["z"])))
+                except (TypeError, ValueError):
+                    parse_errors += 1
+                    lines.append(f"line {i}: parse error in {raw!r}")
+                    continue
+                try:
+                    rep = search.verify(x, y, z, k)
+                except residues.CubeSumMismatch as err:
+                    invalid += 1
+                    lines.append(f"line {i}: k={k} ({x},{y},{z}) "
+                                 f"INVALID sum={residues.exact_str(err.actual_sum)}")
+                    continue
+                valid += 1
+                signed = residues.signed_spelling_for(x, y, z)
+                lines.append(f"line {i}: k={k} ({x},{y},{z}) OK "
+                             f"class={residues.class_of(k)} "
+                             f"path={rep.path.spell()} signed={signed.spell()}")
     except OSError as err:
         return EXIT_USAGE, f"cannot read corpus: {err}"
-
-    lines = []
-    parse_errors = invalid = valid = 0
-    for i, raw in enumerate(raw_rows, start=2):  # line 1 is the header
-        try:
-            # a short row's missing cells are None: str.strip raises TypeError.  int
-            # alone would strip too, but not the separators \x1c-\x1f
-            k, x, y, z = map(int, map(str.strip, (raw["k"], raw["x"], raw["y"], raw["z"])))
-        except (TypeError, ValueError):
-            parse_errors += 1
-            lines.append(f"line {i}: parse error in {raw!r}")
-            continue
-        try:
-            rep = search.verify(x, y, z, k)
-        except residues.CubeSumMismatch as err:
-            invalid += 1
-            lines.append(f"line {i}: k={k} ({x},{y},{z}) "
-                         f"INVALID sum={residues.exact_str(err.actual_sum)}")
-            continue
-        valid += 1
-        signed = residues.signed_spelling_for(x, y, z)
-        lines.append(f"line {i}: k={k} ({x},{y},{z}) OK "
-                     f"class={residues.class_of(k)} "
-                     f"path={rep.path.spell()} signed={signed.spell()}")
 
     lines.append(f"{valid} valid, {invalid} invalid, {parse_errors} parse error(s)")
     if parse_errors:

@@ -13,7 +13,9 @@ A full De Bruijn sequence needs no graph: debruijn_sequence concatenates
 Lyndon words (the Fredricksen-Kessler-Maiorana construction) in constant
 amortised time per symbol.  Hierholzer's algorithm on an explicit graph is
 kept for edge subsets, such as the E0/E1/E2 fixtures, which may not be
-Eulerian at all.
+Eulerian at all.  In the same way a claim against the full graph is
+validated with no graph and no target set (validate_full): the full target
+holds every n-gram, so one pass over the claim's windows settles it.
 
 A cyclic sequence is a plain non-empty str: its windows wrap around the
 end (cyclic_windows), and every rotation names the same cycle.
@@ -56,8 +58,9 @@ class Alphabet(namedtuple("Alphabet", "symbols")):
     def check_gram(self, gram: str, length: int | None = None):
         if length is not None and len(gram) != length:
             raise ValueError(f"expected a {length}-gram, got {gram!r}")
-        bad = [c for c in gram if ord(c) not in self._order]
-        if bad:
+        # one bulk test; the per-symbol loop only runs to name the bad symbols
+        if not set(gram).issubset(self.symbols):
+            bad = [c for c in gram if c not in self.symbols]
             raise ValueError(f"symbols {bad!r} not in alphabet {''.join(self.symbols)!r}")
 
 
@@ -87,10 +90,32 @@ class DeBruijnGraph(namedtuple("DeBruijnGraph", "alphabet order edges")):
         return frozenset(n for e in self.edges for n in edge_endpoints(e))
 
 
-def build_graph(alphabet: Alphabet, order: int) -> DeBruijnGraph:
-    """Full De Bruijn graph: all k^(n-1) nodes and all k^n edges."""
+# The cap on a full graph B(k, n): k^n edges, with k counted as at least 2,
+# so a one-symbol alphabet's single edge is no longer than a binary edge.
+# Binary is the worst case for a given edge count: the longest grams and
+# the most nodes.  At the cap, B(01, 19), `graph` took 3.3-3.7 s at 284 MB
+# peak RSS (55 MB of DOT), `validate 01` 1.3 s at 139 MB (524,286 missing
+# edges listed) and `cycle` 0.2 s at 27 MB (one core of a 2-vCPU x86-64
+# machine, CPython 3.11); `graph` at 2^20 took 6.9 s and 578 MB.
+MAX_DEBRUIJN_EDGES = 2 ** 19
+
+
+def check_order(alphabet: Alphabet, order: int):
+    """Raise ValueError unless B(alphabet, order) has order >= 2 and fits
+    the cap: at most MAX_DEBRUIJN_EDGES edges, and no longer edges than a
+    binary graph at the cap."""
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
+    max_order = MAX_DEBRUIJN_EDGES.bit_length() - 1
+    # the order test first: at a huge order, k^n is itself a huge number
+    if order > max_order or len(alphabet) ** order > MAX_DEBRUIJN_EDGES:
+        raise ValueError(f"B({''.join(alphabet.symbols)}, {order}) is too large: the supported "
+                         f"maximum is {MAX_DEBRUIJN_EDGES} edges and order {max_order}")
+
+
+def build_graph(alphabet: Alphabet, order: int) -> DeBruijnGraph:
+    """Full De Bruijn graph: all k^(n-1) nodes and all k^n edges."""
+    check_order(alphabet, order)
     edges = frozenset("".join(p) for p in product(alphabet.symbols, repeat=order))
     return DeBruijnGraph(alphabet, order, edges)
 
@@ -232,9 +257,16 @@ def debruijn_sequence(alphabet: Alphabet, order: int) -> str:
     which makes it byte-identical to
     circuit_to_sequence(eulerian_circuit(build_graph(alphabet, order))).
     """
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
-    last = len(alphabet) - 1
+    check_order(alphabet, order)
+    seq = _lyndon_concat(len(alphabet), order)
+    r = (order - 1) % len(seq)
+    return "".join(map(alphabet.symbols.__getitem__, seq[r:] + seq[:r]))
+
+
+def _lyndon_concat(k: int, order: int) -> list[int]:
+    """The Lyndon words over symbol indices 0..k-1 whose length divides
+    order, concatenated in lexicographic order."""
+    last = k - 1
     seq: list[int] = []
     word = [-1]  # symbol indices; each pass turns it into the next Lyndon word
     while word:
@@ -246,8 +278,7 @@ def debruijn_sequence(alphabet: Alphabet, order: int) -> str:
             word.append(word[-m])
         while word and word[-1] == last:
             word.pop()
-    r = (order - 1) % len(seq)
-    return "".join(map(alphabet.symbols.__getitem__, seq[r:] + seq[:r]))
+    return seq
 
 
 class CoverageReport(namedtuple("CoverageReport", "covered missing extra duplicates")):
@@ -266,24 +297,48 @@ class CoverageReport(namedtuple("CoverageReport", "covered missing extra duplica
         return self.complete and not self.extra and not self.duplicates
 
 
+def _windows(sequence: str, length: int) -> tuple[frozenset[str], tuple]:
+    """The distinct cyclic windows of a non-empty sequence, and the repeated
+    ones as (window, count) pairs in code-point order.  Windows are only
+    counted when some window repeats."""
+    if not sequence:
+        raise ValueError("cyclic sequence must be non-empty")
+    windows = cyclic_windows(sequence, length)
+    seen = frozenset(windows)
+    if len(seen) == len(windows):
+        return seen, ()
+    return seen, tuple(sorted((g, c) for g, c in Counter(windows).items() if c > 1))
+
+
 def validate_cycle(sequence: str, target: frozenset[str] | set[str]) -> CoverageReport:
     """Partition a target edge set into covered/missing by the sequence's
     cyclic windows; windows outside the target are extra, repeats counted."""
-    if not sequence:
-        raise ValueError("cyclic sequence must be non-empty")
     target = frozenset(target)
+    lengths = {len(g) for g in target}
+    if len(lengths) > 1:
+        raise ValueError(f"target grams have mixed lengths: {sorted(lengths)}")
+    # an empty target has no gram length, but the sequence is still checked
+    seen, duplicates = _windows(sequence, max(lengths, default=1))
     if not target:
         return CoverageReport(frozenset(), frozenset(), frozenset(), ())
-    lengths = {len(g) for g in target}
-    if len(lengths) != 1:
-        raise ValueError(f"target grams have mixed lengths: {sorted(lengths)}")
-    counts = Counter(cyclic_windows(sequence, lengths.pop()))
-    return CoverageReport(
-        covered=frozenset(counts) & target,
-        missing=target - set(counts),
-        extra=frozenset(counts) - target,
-        duplicates=tuple(sorted((g, c) for g, c in counts.items() if c > 1)),
-    )
+    return CoverageReport(seen & target, target - seen, seen - target, duplicates)
+
+
+def validate_full(sequence: str, alphabet: Alphabet, order: int) -> CoverageReport:
+    """validate_cycle against every edge of B(alphabet, order), with no graph
+    and no target set.  Every window over the alphabet is a target edge, so
+    only windows holding a foreign symbol are extra, and the k^n edges are
+    listed only when fewer than k^n windows are covered, to name the missing."""
+    check_order(alphabet, order)
+    seen, duplicates = _windows(sequence, order)
+    extra = frozenset()
+    if not set(sequence).issubset(alphabet.symbols):
+        extra = frozenset(w for w in seen if not set(w).issubset(alphabet.symbols))
+        seen -= extra
+    missing = frozenset()
+    if len(seen) < len(alphabet) ** order:
+        missing = frozenset(map("".join, product(alphabet.symbols, repeat=order))) - seen
+    return CoverageReport(seen, missing, extra, duplicates)
 
 
 def to_dot(graph: DeBruijnGraph, name: str = "debruijn") -> str:

@@ -173,6 +173,88 @@ def test_validate_symbol_outside_alphabet(capsys):
     assert "alphabet" in err
 
 
+BINARY_16 = debruijn.debruijn_sequence(debruijn.Alphabet.from_string("01"), 16)
+
+
+# SHA-256 of stdout and the exit code: an exact B(01, 16) claim, an
+# incomplete one with a missing list, and duplicates over the unsorted
+# alphabet 10 (listed in code-point order)
+@pytest.mark.parametrize("argv,want_code,digest", [
+    ((BINARY_16, "--alphabet", "01", "--order", "16"), 0,
+     "1cceda0c4d84b237498635a6afe802a09440a41afcd4ea6fbfa4667739044958"),
+    (("01", "--alphabet", "01", "--order", "5"), 1,
+     "727ad3ae4694c07e39d6b006a258689a490520357fc44a0cfb9b57833b62d51e"),
+    (("110110", "--alphabet", "10", "--order", "2"), 1,
+     "cd7ddcffab02620f823328952139d7fe58dc8d8f9663dabdd74e90be6bb716c7"),
+])
+def test_validate_stdout_is_pinned(capsys, argv, want_code, digest):
+    code, out, err = run(capsys, "validate", *argv)
+    assert (code, err) == (want_code, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("01", "--order", "1"), "error: order must be >= 2, got 1\n"),
+    (("0102", "--alphabet", "01", "--order", "1"), "error: order must be >= 2, got 1\n"),
+    (("", "--alphabet", "01"), "error: cyclic sequence must be non-empty\n"),
+    (("", "--alphabet", "01", "--order", "1"), "error: order must be >= 2, got 1\n"),
+    (("01", "--alphabet", "001"), "error: duplicate symbols: ('0', '0', '1')\n"),
+])
+def test_validate_bad_input_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "validate", *argv)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_validate_full_builds_no_graph(capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a full claim is validated without a graph")
+
+    monkeypatch.setattr(debruijn, "build_graph", forbidden)
+    monkeypatch.setattr(debruijn, "DeBruijnGraph", forbidden)
+    code, out, err = run(capsys, "validate", "00010111", "--alphabet", "01", "--order", "3")
+    assert (code, err) == (0, "")
+    assert out.endswith("covered: 8/8\nmissing (0):\nextra (0):\nduplicates: none\n"
+                        "complete: yes\nexact: yes\n")
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("nothing may be built above the cap")
+
+
+CAP_ORDER = debruijn.MAX_DEBRUIJN_EDGES.bit_length() - 1  # B(01, CAP_ORDER) is at the cap
+
+
+@pytest.mark.parametrize("argv", [
+    ("graph", "--alphabet", "01"),
+    ("cycle", "--alphabet", "01"),
+    ("validate", "01", "--alphabet", "01"),
+])
+def test_debruijn_commands_refuse_orders_above_the_cap(capsys, monkeypatch, argv):
+    assert 2 ** CAP_ORDER == debruijn.MAX_DEBRUIJN_EDGES
+    for name in ("product", "_lyndon_concat", "cyclic_windows"):
+        monkeypatch.setattr(debruijn, name, _forbidden)
+    code, out, err = run(capsys, *argv, "--order", str(CAP_ORDER + 1))
+    assert (code, out) == (2, "")
+    assert err == (f"error: B(01, {CAP_ORDER + 1}) is too large: the supported maximum is "
+                   f"{debruijn.MAX_DEBRUIJN_EDGES} edges and order {CAP_ORDER}\n")
+
+
+def test_debruijn_commands_accept_the_cap(capsys, monkeypatch):
+    # stub the k^n-sized work: one edge for graph, one Lyndon word for cycle,
+    # and no edges to list as missing for validate
+    monkeypatch.setattr(debruijn, "product", lambda symbols, repeat: [("0",) * repeat])
+    monkeypatch.setattr(debruijn, "_lyndon_concat", lambda k, order: [0, 1])
+    order = str(CAP_ORDER)
+    code, out, err = run(capsys, "graph", "--alphabet", "01", "--order", order)
+    assert (code, err) == (0, "")
+    assert out.count("->") == 1
+    assert run(capsys, "cycle", "--alphabet", "01", "--order", order) == \
+        (0, "sequence: 01\nlength: 2\n", "")
+    code, out, err = run(capsys, "validate", "0", "--alphabet", "01", "--order", order)
+    assert (code, err) == (0, "")
+    assert out.startswith("windows: 1\ncovered: 1/1\n")
+
+
 def test_search_writes_rows_and_summary(capsys, tmp_path):
     out_csv = tmp_path / "k29.csv"
     code, out, _ = run(capsys, "search", "29", "--bound", "4", "--out", str(out_csv))
@@ -262,6 +344,31 @@ def test_verify_corpus_parse_error_reports_line(capsys, tmp_path):
         "line 7: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1",
         "line 8: parse error in {'k': '', 'x': '', 'y': '', 'z': ''}",
         "4 valid, 0 invalid, 3 parse error(s)",
+    ]
+
+
+def test_verify_corpus_counts_blank_lines(capsys, tmp_path):
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("k,x,y,z\n29,1,1,3\n\n1,one,2,3\n\n\n35,1,2,3\n")
+    code, out, _ = run(capsys, "verify-corpus", str(corpus))
+    assert code == 2
+    assert out.splitlines() == [
+        "line 2: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1",
+        "line 4: parse error in {'k': '1', 'x': 'one', 'y': '2', 'z': '3'}",
+        "line 7: k=35 (1,2,3) INVALID sum=36",
+        "1 valid, 1 invalid, 1 parse error(s)",
+    ]
+
+
+def test_verify_corpus_numbers_a_multi_line_record_by_its_last_line(capsys, tmp_path):
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text('k,x,y,z\n"29\n",1,1,"\n3"\n35,1,2,3\n')
+    code, out, _ = run(capsys, "verify-corpus", str(corpus))
+    assert code == 1
+    assert out.splitlines() == [
+        "line 4: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1",
+        "line 5: k=35 (1,2,3) INVALID sum=36",
+        "1 valid, 1 invalid, 0 parse error(s)",
     ]
 
 

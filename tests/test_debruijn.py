@@ -9,9 +9,11 @@ from cubegraph.debruijn import (
     Alphabet,
     DeBruijnGraph,
     FIXTURE_EDGES,
+    MAX_DEBRUIJN_EDGES,
     NotEulerianError,
     TERNARY_ALPHABET,
     build_graph,
+    check_order,
     circuit_to_sequence,
     cyclic_windows,
     debruijn_sequence,
@@ -21,6 +23,7 @@ from cubegraph.debruijn import (
     fixture_subgraph,
     to_dot,
     validate_cycle,
+    validate_full,
 )
 from cubegraph.residues import decompose
 
@@ -67,6 +70,14 @@ def test_alphabet_validation():
         Alphabet.from_string("001")
     with pytest.raises(ValueError):
         Alphabet(("ab",))
+
+
+def test_check_gram_names_every_bad_symbol():
+    BINARY.check_gram("0110")
+    with pytest.raises(ValueError, match=r"^symbols \['x', '2', 'x'\] not in alphabet '01'$"):
+        BINARY.check_gram("0x2x1")
+    with pytest.raises(ValueError, match="^expected a 3-gram, got '01'$"):
+        BINARY.check_gram("01", 3)
 
 
 def test_alphabet_equality_and_hash_see_the_symbols_only():
@@ -327,6 +338,49 @@ def test_validate_cycle_empty_target():
 def test_validate_cycle_rejects_mixed_gram_lengths():
     with pytest.raises(ValueError, match="mixed"):
         validate_cycle("000", {"00", "000"})
+
+
+@st.composite
+def full_claims(draw):
+    """(sequence, alphabet, n): 1-4 symbols in a random order, n in 2..6, and
+    a claim of 1 to k^n + 5 symbols: a De Bruijn sequence rotated, or random
+    symbols, sometimes with one outside the alphabet."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 6))
+    alphabet = Alphabet(tuple(draw(st.permutations("018a"))[:k]))
+    if draw(st.booleans()):
+        seq = debruijn_sequence(alphabet, n)
+        r = draw(st.integers(0, len(seq) - 1))
+        return seq[r:] + seq[:r], alphabet, n
+    pool = alphabet.symbols + (("9",) if draw(st.booleans()) else ())
+    seq = draw(st.text(st.sampled_from(pool), min_size=1, max_size=k ** n + 5))
+    return seq, alphabet, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_claims())
+@example(("0", BINARY, 3))             # shorter than n
+@example(("110110", Alphabet.from_string("10"), 2))  # repeats
+@example(("0190", BINARY, 2))          # a foreign symbol
+@example(("0000", Alphabet.from_string("0"), 4))     # exact over one symbol
+def test_validate_full_matches_the_graph_target(case):
+    # the graph-free report equals the one against the full graph's edge set
+    seq, alphabet, n = case
+    assert validate_full(seq, alphabet, n) == validate_cycle(seq, build_graph(alphabet, n).edges)
+
+
+def test_check_order_caps_the_edge_count():
+    top = MAX_DEBRUIJN_EDGES.bit_length() - 1
+    assert 2 ** top == MAX_DEBRUIJN_EDGES
+    check_order(BINARY, top)
+    check_order(Alphabet.from_string("0"), top)
+    check_order(Alphabet.from_string("0123"), top // 2)
+    message = f"the supported maximum is {MAX_DEBRUIJN_EDGES} edges and order {top}$"
+    for alphabet, order in [(BINARY, top + 1), (Alphabet.from_string("0"), top + 1),
+                            (Alphabet.from_string("0123"), top // 2 + 1),
+                            (BINARY, 10 ** 12)]:  # refused before k^n is computed
+        with pytest.raises(ValueError, match=message):
+            check_order(alphabet, order)
 
 
 def test_derived_fixtures_equal_their_literal_edge_sets():

@@ -82,19 +82,21 @@ def cmd_cycle(args) -> tuple[int, str]:
 
 
 def cmd_validate(args) -> tuple[int, str]:
+    # a long claim does not fit in one command-line argument (128 KiB on Linux)
+    cycle = sys.stdin.read().removesuffix("\n") if args.cycle == "-" else args.cycle
     if args.against == "full":
         alphabet = debruijn.Alphabet.from_string(args.alphabet)
-        report = debruijn.validate_full(args.cycle, alphabet, args.order)
+        report = debruijn.validate_full(cycle, alphabet, args.order)
     else:
         alphabet = debruijn.TERNARY_ALPHABET
-        report = debruijn.validate_cycle(args.cycle, debruijn.FIXTURE_EDGES[args.against])
+        report = debruijn.validate_cycle(cycle, debruijn.FIXTURE_EDGES[args.against])
     # a symbol outside the alphabet is a usage error, reported after a bad
     # order or an empty sequence
-    alphabet.check_gram(args.cycle)
+    alphabet.check_gram(cycle)
 
     key = alphabet.sort_key
     lines = [
-        f"windows: {len(args.cycle)}",
+        f"windows: {len(cycle)}",
         f"covered: {len(report.covered)}/{len(report.covered) + len(report.missing)}",
         f"missing ({len(report.missing)}): {' '.join(sorted(report.missing, key=key))}".rstrip(),
         f"extra ({len(report.extra)}): {' '.join(sorted(report.extra, key=key))}".rstrip(),
@@ -139,28 +141,46 @@ def cmd_scan(args) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines)
 
 
+def _row_dict(header: list[str], row: list[str]) -> dict:
+    """The row as csv.DictReader shows it: a repeated name keeps its last
+    cell, a short row's missing cells are None, a long row's extra cells are
+    listed under the key None."""
+    d = dict(zip(header, row))
+    if len(header) < len(row):
+        d[None] = row[len(header):]
+    for name in header[len(row):]:
+        d[name] = None
+    return d
+
+
 def cmd_verify_corpus(args) -> tuple[int, str]:
     lines = []
     parse_errors = invalid = valid = 0
     try:
-        with open(args.corpus, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"k", "x", "y", "z"} <= set(reader.fieldnames):
+        # utf-8-sig: a byte-order mark is not part of the first column's name
+        with open(args.corpus, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)  # the first record, even a blank one
+            if header is None or not {"k", "x", "y", "z"} <= set(header):
                 return EXIT_USAGE, f"{args.corpus}: header must contain columns k,x,y,z"
-            for raw in reader:
-                # the file line the record ends on, read as it is read: csv
-                # skips blank lines, and a quoted field can span lines
+            column = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
+            ik, ix, iy, iz = column["k"], column["x"], column["y"], column["z"]
+            for row in reader:
+                if not row:
+                    continue  # a blank line
+                # the file line the record ends on: a quoted field can span lines
                 i = reader.line_num
                 try:
-                    # a short row's missing cells are None: str.strip raises TypeError.
-                    # int alone would strip too, but not the separators \x1c-\x1f
-                    k, x, y, z = map(int, map(str.strip, (raw["k"], raw["x"], raw["y"], raw["z"])))
-                except (TypeError, ValueError):
+                    # a short row raises IndexError.  int alone would strip
+                    # too, but not the separators \x1c-\x1f
+                    k, x, y, z = (int(row[ik].strip()), int(row[ix].strip()),
+                                  int(row[iy].strip()), int(row[iz].strip()))
+                except (IndexError, ValueError):
                     parse_errors += 1
-                    lines.append(f"line {i}: parse error in {raw!r}")
+                    lines.append(f"line {i}: parse error in {_row_dict(header, row)!r}")
                     continue
                 try:
-                    rep = search.verify(x, y, z, k)
+                    path = residues.label_solution(x, y, z, k)  # same for any term order
                 except residues.CubeSumMismatch as err:
                     invalid += 1
                     lines.append(f"line {i}: k={k} ({x},{y},{z}) "
@@ -170,7 +190,9 @@ def cmd_verify_corpus(args) -> tuple[int, str]:
                 signed = residues.signed_spelling_for(x, y, z)
                 lines.append(f"line {i}: k={k} ({x},{y},{z}) OK "
                              f"class={residues.class_of(k)} "
-                             f"path={rep.path.spell()} signed={signed.spell()}")
+                             f"path={path.spell()} signed={signed.spell()}")
+    except csv.Error as err:  # e.g. a field over csv.field_size_limit()
+        return EXIT_USAGE, f"{args.corpus}: line {reader.line_num}: {err}"
     except OSError as err:
         return EXIT_USAGE, f"cannot read corpus: {err}"
 
@@ -203,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a cyclic string's windows "
                        "against an edge set")
-    p.add_argument("cycle", help="cyclic sequence, e.g. 00010111")
+    p.add_argument("cycle", help="cyclic sequence, e.g. 00010111, or - to read it "
+                                 "from stdin (one trailing newline is dropped)")
     p.add_argument("--alphabet", default="018")
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--against", choices=["full", "E0", "E1", "E2"], default="full")

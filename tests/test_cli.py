@@ -1,10 +1,15 @@
+import contextlib
+import csv
 import hashlib
+import io
 import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubegraph import cli, debruijn, residues, search
 
@@ -191,6 +196,16 @@ def test_validate_stdout_is_pinned(capsys, argv, want_code, digest):
     code, out, err = run(capsys, "validate", *argv)
     assert (code, err) == (want_code, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_validate_reads_a_claim_too_long_for_argv_from_stdin(capsys, monkeypatch):
+    # 131,072 symbols: one more byte than a single Linux argument may hold
+    seq = debruijn.debruijn_sequence(debruijn.Alphabet.from_string("01"), 17)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(seq + "\n"))
+    code, out, err = run(capsys, "validate", "-", "--alphabet", "01", "--order", "17")
+    assert (code, err) == (0, "")
+    assert out == ("windows: 131072\ncovered: 131072/131072\nmissing (0):\nextra (0):\n"
+                   "duplicates: none\ncomplete: yes\nexact: yes\n")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -419,6 +434,149 @@ def test_verify_corpus_bad_header(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-corpus", str(corpus))
     assert code == 2
     assert "header" in out
+
+
+def test_verify_corpus_accepts_a_byte_order_mark(capsys, tmp_path):
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_bytes(b"\xef\xbb\xbfk,x,y,z\n29,1,1,3\n")
+    code, out, err = run(capsys, "verify-corpus", str(corpus))
+    assert (code, err) == (0, "")
+    assert out == ("line 2: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1\n"
+                   "1 valid, 0 invalid, 0 parse error(s)\n")
+
+
+def test_verify_corpus_field_over_the_csv_limit_is_a_usage_error(capsys, tmp_path):
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("k,x,y,z\n29,1,1,3\n\n1," + "1" * 200_000 + ",0,0\n")
+    code, out, err = run(capsys, "verify-corpus", str(corpus))
+    assert (code, err) == (2, "")
+    assert out == (f"{corpus}: line 4: field larger than field limit "
+                   f"({csv.field_size_limit()})\n")
+
+
+def test_verify_corpus_builds_no_row_dict_or_representation(capsys, monkeypatch, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify-corpus labels a row without a dict or a Representation")
+
+    monkeypatch.setattr(csv, "DictReader", forbidden)
+    monkeypatch.setattr(search, "verify", forbidden)
+    monkeypatch.setattr(search, "Representation", forbidden)
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("z,k,y,x\n332,15,-262,-265\n3,35,2,1\n\n2,1\n3,29,1,1,extra\n")
+    code, out, err = run(capsys, "verify-corpus", str(corpus))
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "line 2: k=15 (-265,-262,332) OK class=6 path=8+8+8 signed=-1-1+8",
+        "line 3: k=35 (1,2,3) INVALID sum=36",
+        "line 5: parse error in {'z': '2', 'k': '1', 'y': None, 'x': None}",
+        "line 6: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1",
+        "2 valid, 1 invalid, 1 parse error(s)",
+    ]
+
+
+def _verify_corpus_with_dict_reader(path):
+    """The row loop `verify-corpus` ran before it read rows as lists: one
+    csv.DictReader dict and one search.Representation per row.  The
+    reference for test_verify_corpus_matches_the_dict_reader_loop."""
+    lines = []
+    parse_errors = invalid = valid = 0
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not {"k", "x", "y", "z"} <= set(reader.fieldnames):
+            return 2, f"{path}: header must contain columns k,x,y,z"
+        for raw in reader:
+            i = reader.line_num
+            try:
+                k, x, y, z = map(int, map(str.strip, (raw["k"], raw["x"], raw["y"], raw["z"])))
+            except (TypeError, ValueError):
+                parse_errors += 1
+                lines.append(f"line {i}: parse error in {raw!r}")
+                continue
+            try:
+                rep = search.verify(x, y, z, k)
+            except residues.CubeSumMismatch as err:
+                invalid += 1
+                lines.append(f"line {i}: k={k} ({x},{y},{z}) "
+                             f"INVALID sum={residues.exact_str(err.actual_sum)}")
+                continue
+            valid += 1
+            signed = residues.signed_spelling_for(x, y, z)
+            lines.append(f"line {i}: k={k} ({x},{y},{z}) OK "
+                         f"class={residues.class_of(k)} "
+                         f"path={rep.path.spell()} signed={signed.spell()}")
+    lines.append(f"{valid} valid, {invalid} invalid, {parse_errors} parse error(s)")
+    if parse_errors:
+        return 2, "\n".join(lines)
+    return (0 if invalid == 0 else 1), "\n".join(lines)
+
+
+# what str.strip removes and int alone keeps: \x1c-\x1f; a newline only inside quotes
+_PAD = " \t\x1c\x1d\x1e\x1f"
+_JUNK = st.sampled_from(["", "one", "1.5", "--1", "1_000", "+7", "\u0663", "1,2", "''"])
+_HEADERS = st.sampled_from([
+    ["k", "x", "y", "z"], ["z", "k", "y", "x"], ["k", "x", "y", "z", "note"],
+    ["k", "x", "x", "y", "z"], ["x", "k", "y", "z", "k"], ["k", "x", "y", "z", "x"],
+    ["k", "x", "y"], ["K", "x", "y", "z"]])
+_TERMS = st.integers(-30, 30) | st.integers(-10**22, 10**22)
+
+
+def _quote(cell):
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def _corpus_record(draw, header):
+    x, y, z = draw(_TERMS), draw(_TERMS), draw(_TERMS)
+    value = {"k": x**3 + y**3 + z**3 + draw(st.sampled_from([0, 0, 0, 1, -9])),
+             "x": x, "y": y, "z": z}
+    cells = []
+    for name in header:
+        if name in value and draw(st.integers(0, 29)):
+            cell = str(value[name])
+        else:
+            cell = draw(_JUNK)
+        if draw(st.booleans()):
+            pad = draw(st.text(_PAD + "\n", max_size=2)), draw(st.text(_PAD + "\n", max_size=2))
+            cell = _quote(pad[0] + cell + pad[1])
+        elif "," in cell or not draw(st.integers(0, 3)):
+            cell = _quote(cell)
+        else:
+            cell = draw(st.text(_PAD, max_size=2)) + cell + draw(st.text(_PAD, max_size=2))
+        cells.append(cell)
+    shape = draw(st.sampled_from(["full"] * 20 + ["short", "long", "blank", "blank", "space"]))
+    if shape == "short":
+        cells = cells[:draw(st.integers(1, len(cells) - 1))]
+    elif shape == "long":
+        cells += draw(st.lists(_JUNK.map(_quote), min_size=1, max_size=2))
+    elif shape == "blank":
+        cells = []
+    elif shape == "space":
+        cells = [draw(st.text(_PAD, min_size=1, max_size=2))]
+    return ",".join(cells)
+
+
+@st.composite
+def corpus_texts(draw):
+    header = draw(_HEADERS)
+    lines = [""] * draw(st.sampled_from([0] * 10 + [1, 2])) + [",".join(header)]
+    lines += draw(st.lists(_corpus_record(header), max_size=8))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus_texts())
+@example('\nk,x,y,z\n29,1,1,3\n')  # the header is the first record, even a blank one
+@example('k,x,y,z\n\n"29\n",1,1,"\n3"\n1,2\n35,1,2,3,4\n1,one,2,3,4,5\n')
+def test_verify_corpus_matches_the_dict_reader_loop(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    want_code, want_text = _verify_corpus_with_dict_reader(str(path))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify-corpus", str(path)])
+    assert (code, out.getvalue()) == (want_code, want_text + "\n")
 
 
 def test_search_rejects_oversized_bound(capsys):

@@ -10,7 +10,6 @@ from .debruijn import (
     MAX_DEBRUIJN_EDGES,
     NotEulerianError,
     TERNARY_ALPHABET,
-    build_graph,
     check_order,
     circuit_to_sequence,
     cyclic_windows,
@@ -19,6 +18,7 @@ from .debruijn import (
     eulerian_circuit,
     eulerian_status,
     fixture_subgraph,
+    full_dot_lines,
     to_dot,
     validate_cycle,
     validate_full,

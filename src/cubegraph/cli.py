@@ -1,14 +1,19 @@
 """Command-line surface: residue tables, graphs, cycles, search, corpus checks.
 
 Exit codes are stable across subcommands: 0 success/complete, 1 validation
-failure, 2 usage or parse error.  All output is assembled first and written
-once, so identical invocations produce bytewise-identical results.
+failure, 2 usage or parse error.  Output is written as it is produced, in
+pieces of about 64 KiB (see _Out), so memory does not grow with its size;
+identical invocations still produce bytewise-identical results.  A usage
+error found before any output leaves stdout empty.  One found mid-run, such
+as a corpus record that is not CSV or not UTF-8, keeps every line already
+produced on stdout, then adds its message and exits 2.
 """
 
 import argparse
 import csv
-import io
+import os
 import sys
+from itertools import islice
 
 from . import debruijn, residues, search
 
@@ -17,71 +22,106 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 
 
-def _representation_rows(results: list[search.SearchResult]) -> list[list]:
-    rows = []
-    for res in results:
-        for rep in res.representations:
-            rows.append([rep.k, rep.x, rep.y, rep.z,
-                         residues.class_of(rep.k), rep.path.spell()])
-    return rows
+class _Out:
+    """Text bound for stdout, passed on in pieces of at least CHUNK
+    characters, and the rest on flush().  With PYTHONUNBUFFERED set, each
+    sys.stdout.write is one system call, so a write per line would cost
+    more than the lines.  sys.stdout is looked up at each write: a caller
+    may have swapped it, as contextlib.redirect_stdout does."""
+
+    CHUNK = 1 << 16
+
+    def __init__(self):
+        self._parts: list[str] = []
+        self._size = 0
+
+    def write(self, text: str):
+        self._parts.append(text)
+        self._size += len(text)
+        if self._size >= self.CHUNK:
+            self.flush()
+
+    def writelines(self, lines):
+        """Write each string of an iterable, joined a batch at a time."""
+        lines = iter(lines)
+        while batch := "".join(islice(lines, 1024)):
+            self.write(batch)
+
+    def flush(self):
+        if self._parts:
+            text = "".join(self._parts)
+            self._parts.clear()
+            self._size = 0
+            sys.stdout.write(text)
 
 
-def _emit_csv(out_path, header, rows, lines):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        lines.append(f"wrote {len(rows)} row(s) to {out_path}")
+CSV_HEADER = ["k", "x", "y", "z", "class", "path"]
+
+
+def _write_csv(out: _Out, path, results: list[search.SearchResult]):
+    """CSV_HEADER and a row per representation: into the file at path, with
+    a one-line note on out, or else on out."""
+    def write(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows([rep.k, rep.x, rep.y, rep.z, residues.class_of(rep.k), rep.path.spell()]
+                         for res in results for rep in res.representations)
+
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        out.write(f"wrote {sum(len(res.representations) for res in results)} row(s) to {path}\n")
     else:
-        lines.append(text.rstrip("\n"))
+        write(out)
 
 
-def cmd_classes(args) -> tuple[int, str]:
-    lines = []
+def cmd_classes(args, out: _Out) -> int:
     for z in range(9):
         triples = sorted(residues.decompose(z))
         if not triples:
-            lines.append(f"class {z}: infeasible (no residue triple sums to {z} mod 9)")
+            out.write(f"class {z}: infeasible (no residue triple sums to {z} mod 9)\n")
             continue
         for i, t in enumerate(triples):
             spellings = " | ".join(s.spell() for s in sorted(residues.signed_spellings(t)))
             prefix = f"class {z}:" if i == 0 else "        "
-            lines.append(f"{prefix} {t.spell()}  [{spellings}]")
-    return EXIT_OK, "\n".join(lines)
+            out.write(f"{prefix} {t.spell()}  [{spellings}]\n")
+    return EXIT_OK
 
 
-def cmd_graph(args) -> tuple[int, str]:
+def cmd_graph(args, out: _Out) -> int:
     if args.subgraph:
         graph = debruijn.fixture_subgraph(args.subgraph)
-    else:
-        graph = debruijn.build_graph(debruijn.Alphabet.from_string(args.alphabet), args.order)
-    name = args.subgraph or f"debruijn_{args.alphabet}_{args.order}"
-    text = debruijn.to_dot(graph, name=name)
+        lines = [debruijn.to_dot(graph, name=args.subgraph)]
+        nodes, edges = len(graph.nodes), len(graph.edges)
+    else:  # a full graph's DOT needs no graph
+        alphabet = debruijn.Alphabet.from_string(args.alphabet)
+        lines = debruijn.full_dot_lines(alphabet, args.order,
+                                        name=f"debruijn_{args.alphabet}_{args.order}")
+        nodes, edges = len(alphabet) ** (args.order - 1), len(alphabet) ** args.order
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return EXIT_OK, (f"wrote DOT ({len(graph.nodes)} nodes, "
-                         f"{len(graph.edges)} edges) to {args.dot}")
-    return EXIT_OK, text.rstrip("\n")
+            fh.writelines(lines)
+        out.write(f"wrote DOT ({nodes} nodes, {edges} edges) to {args.dot}\n")
+    else:
+        out.writelines(lines)
+    return EXIT_OK
 
 
-def cmd_cycle(args) -> tuple[int, str]:
+def cmd_cycle(args, out: _Out) -> int:
     if args.subgraph:  # an edge subset may not be Eulerian: walk it with Hierholzer
         try:
             circuit = debruijn.eulerian_circuit(debruijn.fixture_subgraph(args.subgraph))
         except debruijn.NotEulerianError as err:
-            return EXIT_INVALID, f"no Eulerian circuit: {err.status.describe()}"
+            out.write(f"no Eulerian circuit: {err.status.describe()}\n")
+            return EXIT_INVALID
         seq = debruijn.circuit_to_sequence(circuit)
     else:  # a full graph always is, and its sequence needs no graph
         seq = debruijn.debruijn_sequence(debruijn.Alphabet.from_string(args.alphabet), args.order)
-    return EXIT_OK, f"sequence: {seq}\nlength: {len(seq)}"
+    out.write(f"sequence: {seq}\nlength: {len(seq)}\n")
+    return EXIT_OK
 
 
-def cmd_validate(args) -> tuple[int, str]:
+def cmd_validate(args, out: _Out) -> int:
     # a long claim does not fit in one command-line argument (128 KiB on Linux)
     cycle = sys.stdin.read().removesuffix("\n") if args.cycle == "-" else args.cycle
     if args.against == "full":
@@ -95,7 +135,7 @@ def cmd_validate(args) -> tuple[int, str]:
     alphabet.check_gram(cycle)
 
     key = alphabet.sort_key
-    lines = [
+    out.writelines(line + "\n" for line in (
         f"windows: {len(cycle)}",
         f"covered: {len(report.covered)}/{len(report.covered) + len(report.missing)}",
         f"missing ({len(report.missing)}): {' '.join(sorted(report.missing, key=key))}".rstrip(),
@@ -103,42 +143,37 @@ def cmd_validate(args) -> tuple[int, str]:
         "duplicates: " + (", ".join(f"{g} x{c}" for g, c in report.duplicates) or "none"),
         f"complete: {'yes' if report.complete else 'no'}",
         f"exact: {'yes' if report.exact else 'no'}",
-    ]
-    return (EXIT_OK if report.exact else EXIT_INVALID), "\n".join(lines)
+    ))
+    return EXIT_OK if report.exact else EXIT_INVALID
 
 
-CSV_HEADER = ["k", "x", "y", "z", "class", "path"]
-
-
-def cmd_search(args) -> tuple[int, str]:
+def cmd_search(args, out: _Out) -> int:
     result = search.search_k(args.k, search.SearchBounds(args.bound))
-    lines = []
-    _emit_csv(args.out, CSV_HEADER, _representation_rows([result]), lines)
+    _write_csv(out, args.out, [result])
     if result.skipped:
-        lines.append(f"k={args.k}: infeasible (class {residues.class_of(args.k)})")
+        out.write(f"k={args.k}: infeasible (class {residues.class_of(args.k)})\n")
     else:
-        lines.append(f"k={args.k}: {len(result.representations)} representation(s) "
-                     f"with |x|,|y|,|z| <= {args.bound}")
-    return EXIT_OK, "\n".join(lines)
+        out.write(f"k={args.k}: {len(result.representations)} representation(s) "
+                  f"with |x|,|y|,|z| <= {args.bound}\n")
+    return EXIT_OK
 
 
-def cmd_scan(args) -> tuple[int, str]:
+def cmd_scan(args, out: _Out) -> int:
     if args.k_from > args.k_to:
         raise search.SearchBoundsError(
             f"--from {args.k_from} is greater than --to {args.k_to}")
     results = search.scan_range(search.SearchBounds(args.bound, (args.k_from, args.k_to)))
-    lines = []
-    _emit_csv(args.out, CSV_HEADER, _representation_rows(results), lines)
+    _write_csv(out, args.out, results)
     skipped = found = 0
     for res in results:
         if res.skipped:
             skipped += 1
-            lines.append(f"k={res.k}: infeasible (class {residues.class_of(res.k)})")
+            out.write(f"k={res.k}: infeasible (class {residues.class_of(res.k)})\n")
         else:
             found += len(res.representations)
-    lines.append(f"scanned {len(results)} value(s) of k: {found} representation(s), "
-                 f"{skipped} infeasible")
-    return EXIT_OK, "\n".join(lines)
+    out.write(f"scanned {len(results)} value(s) of k: {found} representation(s), "
+              f"{skipped} infeasible\n")
+    return EXIT_OK
 
 
 def _row_dict(header: list[str], row: list[str]) -> dict:
@@ -153,8 +188,27 @@ def _row_dict(header: list[str], row: list[str]) -> dict:
     return d
 
 
-def cmd_verify_corpus(args) -> tuple[int, str]:
-    lines = []
+def _first_undecodable_line(path) -> tuple[int, UnicodeDecodeError] | None:
+    """The number of the first line of a regular file that is not UTF-8, and
+    its decode error, whose position counts from the start of that line.
+    Lines end at \n, \r\n or \r, as csv.reader counts them; no multi-byte
+    UTF-8 sequence holds those bytes.  None for a pipe: what was read from
+    it is gone."""
+    if not os.path.isfile(path):
+        return None
+    number = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:  # ends at \n
+            for line in chunk.splitlines():
+                number += 1
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as err:
+                    return number, err
+    return None
+
+
+def cmd_verify_corpus(args, out: _Out) -> int:
     parse_errors = invalid = valid = 0
     try:
         # utf-8-sig: a byte-order mark is not part of the first column's name
@@ -162,7 +216,8 @@ def cmd_verify_corpus(args) -> tuple[int, str]:
             reader = csv.reader(fh)
             header = next(reader, None)  # the first record, even a blank one
             if header is None or not {"k", "x", "y", "z"} <= set(header):
-                return EXIT_USAGE, f"{args.corpus}: header must contain columns k,x,y,z"
+                out.write(f"{args.corpus}: header must contain columns k,x,y,z\n")
+                return EXIT_USAGE
             column = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
             ik, ix, iy, iz = column["k"], column["x"], column["y"], column["z"]
             for row in reader:
@@ -177,29 +232,40 @@ def cmd_verify_corpus(args) -> tuple[int, str]:
                                   int(row[iy].strip()), int(row[iz].strip()))
                 except (IndexError, ValueError):
                     parse_errors += 1
-                    lines.append(f"line {i}: parse error in {_row_dict(header, row)!r}")
+                    out.write(f"line {i}: parse error in {_row_dict(header, row)!r}\n")
                     continue
                 try:
                     path = residues.label_solution(x, y, z, k)  # same for any term order
                 except residues.CubeSumMismatch as err:
                     invalid += 1
-                    lines.append(f"line {i}: k={k} ({x},{y},{z}) "
-                                 f"INVALID sum={residues.exact_str(err.actual_sum)}")
+                    out.write(f"line {i}: k={k} ({x},{y},{z}) "
+                              f"INVALID sum={residues.exact_str(err.actual_sum)}\n")
                     continue
                 valid += 1
                 signed = residues.signed_spelling_for(x, y, z)
-                lines.append(f"line {i}: k={k} ({x},{y},{z}) OK "
-                             f"class={residues.class_of(k)} "
-                             f"path={path.spell()} signed={signed.spell()}")
+                out.write(f"line {i}: k={k} ({x},{y},{z}) OK "
+                          f"class={residues.class_of(k)} "
+                          f"path={path.spell()} signed={signed.spell()}\n")
     except csv.Error as err:  # e.g. a field over csv.field_size_limit()
-        return EXIT_USAGE, f"{args.corpus}: line {reader.line_num}: {err}"
+        out.write(f"{args.corpus}: line {reader.line_num}: {err}\n")
+        return EXIT_USAGE
+    except UnicodeDecodeError as err:
+        # the decoder reads ahead, so reader.line_num and the error's
+        # position say little: find the line in the bytes
+        found = _first_undecodable_line(args.corpus)
+        if found:
+            out.write(f"{args.corpus}: line {found[0]}: {found[1]}\n")
+        else:
+            out.write(f"{args.corpus}: after line {reader.line_num}: not UTF-8 ({err.reason})\n")
+        return EXIT_USAGE
     except OSError as err:
-        return EXIT_USAGE, f"cannot read corpus: {err}"
+        out.write(f"cannot read corpus: {err}\n")
+        return EXIT_USAGE
 
-    lines.append(f"{valid} valid, {invalid} invalid, {parse_errors} parse error(s)")
+    out.write(f"{valid} valid, {invalid} invalid, {parse_errors} parse error(s)\n")
     if parse_errors:
-        return EXIT_USAGE, "\n".join(lines)
-    return (EXIT_OK if invalid == 0 else EXIT_INVALID), "\n".join(lines)
+        return EXIT_USAGE
+    return EXIT_OK if invalid == 0 else EXIT_INVALID
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,16 +332,17 @@ def _graph_flags(p):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = _Out()
     try:
-        code, text = args.func(args)
+        return args.func(args, out)
     except residues.CubeSumMismatch:
         raise  # a search hit that fails its exact recheck is a bug, not bad input
     except (ValueError, OSError) as err:
+        out.flush()  # what was produced before the error comes first
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    if text:
-        print(text)
-    return code
+    finally:
+        out.flush()
 
 
 def entrypoint():

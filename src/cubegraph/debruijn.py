@@ -15,7 +15,9 @@ amortised time per symbol.  Hierholzer's algorithm on an explicit graph is
 kept for edge subsets, such as the E0/E1/E2 fixtures, which may not be
 Eulerian at all.  In the same way a claim against the full graph is
 validated with no graph and no target set (validate_full): the full target
-holds every n-gram, so one pass over the claim's windows settles it.
+holds every n-gram, so one pass over the claim's windows settles it.  And
+the full graph's DOT text comes line by line from itertools.product
+(full_dot_lines).  DeBruijnGraph is left to the subgraphs.
 
 A cyclic sequence is a plain non-empty str: its windows wrap around the
 end (cyclic_windows), and every rotation names the same cycle.
@@ -93,10 +95,11 @@ class DeBruijnGraph(namedtuple("DeBruijnGraph", "alphabet order edges")):
 # The cap on a full graph B(k, n): k^n edges, with k counted as at least 2,
 # so a one-symbol alphabet's single edge is no longer than a binary edge.
 # Binary is the worst case for a given edge count: the longest grams and
-# the most nodes.  At the cap, B(01, 19), `graph` took 3.3-3.7 s at 284 MB
-# peak RSS (55 MB of DOT), `validate 01` 1.3 s at 139 MB (524,286 missing
-# edges listed) and `cycle` 0.2 s at 27 MB (one core of a 2-vCPU x86-64
-# machine, CPython 3.11); `graph` at 2^20 took 6.9 s and 578 MB.
+# the most nodes.  At the cap, B(01, 19), `graph` took 0.6-0.7 s at 15 MB
+# peak RSS (55 MB of DOT, written as it is made), `validate 01` 1.3-1.5 s
+# at 139 MB (524,286 missing edges listed) and `cycle` 0.2 s at 27 MB (one
+# core of a 2-vCPU x86-64 machine, CPython 3.11).  `graph` alone would
+# allow more, B(01, 22) took 4.9 s at 15 MB; `validate` holds the cap here.
 MAX_DEBRUIJN_EDGES = 2 ** 19
 
 
@@ -111,13 +114,6 @@ def check_order(alphabet: Alphabet, order: int):
     if order > max_order or len(alphabet) ** order > MAX_DEBRUIJN_EDGES:
         raise ValueError(f"B({''.join(alphabet.symbols)}, {order}) is too large: the supported "
                          f"maximum is {MAX_DEBRUIJN_EDGES} edges and order {max_order}")
-
-
-def build_graph(alphabet: Alphabet, order: int) -> DeBruijnGraph:
-    """Full De Bruijn graph: all k^(n-1) nodes and all k^n edges."""
-    check_order(alphabet, order)
-    edges = frozenset("".join(p) for p in product(alphabet.symbols, repeat=order))
-    return DeBruijnGraph(alphabet, order, edges)
 
 
 class EulerianStatus(namedtuple("EulerianStatus", "eulerian unbalanced connected empty")):
@@ -254,8 +250,8 @@ def debruijn_sequence(alphabet: Alphabet, order: int) -> str:
     generated by Duval's successor rule in constant amortised time per
     symbol (Fredricksen & Maiorana, Discrete Math. 23, 1978; Ruskey, Savage
     & Wang, J. Algorithms 13, 1992).  The result is rotated left by n-1,
-    which makes it byte-identical to
-    circuit_to_sequence(eulerian_circuit(build_graph(alphabet, order))).
+    which makes it byte-identical to the sequence of the Hierholzer circuit
+    (eulerian_circuit) of the full graph B(alphabet, order).
     """
     check_order(alphabet, order)
     seq = _lyndon_concat(len(alphabet), order)
@@ -341,17 +337,30 @@ def validate_full(sequence: str, alphabet: Alphabet, order: int) -> CoverageRepo
     return CoverageReport(seen, missing, extra, duplicates)
 
 
+def _dot_lines(name: str, nodes, edges):
+    yield f'digraph "{name}" {{\n'
+    for node in nodes:
+        yield f'  "{node}" [label="{node}"];\n'
+    for e in edges:
+        yield f'  "{e[:-1]}" -> "{e[1:]}" [label="{e}"];\n'
+    yield "}\n"
+
+
 def to_dot(graph: DeBruijnGraph, name: str = "debruijn") -> str:
     """DOT digraph text with gram-labelled nodes/edges in stable order."""
     key = graph.alphabet.sort_key
-    lines = [f'digraph "{name}" {{']
-    for node in sorted(graph.nodes, key=key):
-        lines.append(f'  "{node}" [label="{node}"];')
-    for e in sorted(graph.edges, key=key):
-        u, v = edge_endpoints(e)
-        lines.append(f'  "{u}" -> "{v}" [label="{e}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_dot_lines(name, sorted(graph.nodes, key=key), sorted(graph.edges, key=key)))
+
+
+def full_dot_lines(alphabet: Alphabet, order: int, name: str = "debruijn"):
+    """The lines of to_dot for the full graph B(alphabet, order), one at a
+    time and with no graph: product() yields the nodes and the edges in
+    alphabet order, the order to_dot sorts them into.  The order is checked
+    here, before the first line."""
+    check_order(alphabet, order)
+    nodes = map("".join, product(alphabet.symbols, repeat=order - 1))
+    edges = map("".join, product(alphabet.symbols, repeat=order))
+    return _dot_lines(name, nodes, edges)
 
 
 # The ternary cube-residue alphabet and the three named edge-set fixtures

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import os
 import subprocess
 import sys
 from collections import defaultdict
@@ -12,6 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubegraph import cli, debruijn, residues, search
+
+from oracles import build_graph
 
 TERNARY_CYCLE_23 = "00088808881118100010110"
 
@@ -73,6 +76,51 @@ def test_graph_stdout_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("symbols,order", [("01", 8), ("10", 5), ("810", 3), ("ba", 4), ("0", 2)])
+def test_full_graph_dot_builds_no_graph(capsys, monkeypatch, tmp_path, symbols, order):
+    want = debruijn.to_dot(build_graph(debruijn.Alphabet.from_string(symbols), order),
+                           name=f"debruijn_{symbols}_{order}")
+
+    def forbidden(*args):
+        raise AssertionError("a full graph's DOT needs no graph")
+
+    monkeypatch.setattr(debruijn, "DeBruijnGraph", forbidden)
+    argv = ("graph", "--alphabet", symbols, "--order", str(order))
+    assert run(capsys, *argv) == (0, want, "")
+    dot = tmp_path / "g.dot"
+    nodes, edges = len(symbols) ** (order - 1), len(symbols) ** order
+    assert run(capsys, *argv, "--dot", str(dot)) == \
+        (0, f"wrote DOT ({nodes} nodes, {edges} edges) to {dot}\n", "")
+    assert dot.read_text(encoding="utf-8") == want
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def run_counted(*argv):
+    out = CountingStdout()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), out.writes
+
+
+def test_graph_writes_stdout_in_chunks():
+    code, text, writes = run_counted("graph", "--alphabet", "01", "--order", "12")
+    assert code == 0 and len(text) > 3 * cli._Out.CHUNK
+    assert writes <= len(text.encode("utf-8")) // cli._Out.CHUNK + 2
+    alphabet = debruijn.Alphabet.from_string("01")
+    assert text == debruijn.to_dot(build_graph(alphabet, 12), name="debruijn_01_12")
+
+
 def test_graph_unknown_fixture_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["graph", "--subgraph", "E9"])
@@ -107,7 +155,7 @@ def test_cycle_e0_is_diagnosed(capsys):
 def test_cycle_prints_the_hierholzer_sequence(capsys, symbols, order):
     alphabet = debruijn.Alphabet.from_string(symbols)
     seq = debruijn.circuit_to_sequence(
-        debruijn.eulerian_circuit(debruijn.build_graph(alphabet, order)))
+        debruijn.eulerian_circuit(build_graph(alphabet, order)))
     code, out, _ = run(capsys, "cycle", "--alphabet", symbols, "--order", str(order))
     assert code == 0
     assert out == f"sequence: {seq}\nlength: {len(seq)}\n"
@@ -117,7 +165,7 @@ def test_cycle_full_graph_builds_no_graph(capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("a full sequence needs no graph")
 
-    monkeypatch.setattr(debruijn, "build_graph", forbidden)
+    monkeypatch.setattr(debruijn, "DeBruijnGraph", forbidden)
     monkeypatch.setattr(debruijn, "eulerian_circuit", forbidden)
     code, out, _ = run(capsys, "cycle", "--alphabet", "01", "--order", "3")
     assert code == 0
@@ -224,7 +272,6 @@ def test_validate_full_builds_no_graph(capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("a full claim is validated without a graph")
 
-    monkeypatch.setattr(debruijn, "build_graph", forbidden)
     monkeypatch.setattr(debruijn, "DeBruijnGraph", forbidden)
     code, out, err = run(capsys, "validate", "00010111", "--alphabet", "01", "--order", "3")
     assert (code, err) == (0, "")
@@ -450,7 +497,9 @@ def test_verify_corpus_field_over_the_csv_limit_is_a_usage_error(capsys, tmp_pat
     corpus.write_text("k,x,y,z\n29,1,1,3\n\n1," + "1" * 200_000 + ",0,0\n")
     code, out, err = run(capsys, "verify-corpus", str(corpus))
     assert (code, err) == (2, "")
-    assert out == (f"{corpus}: line 4: field larger than field limit "
+    # the lines produced before the bad record stay, then the message
+    assert out == ("line 2: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1\n"
+                   f"{corpus}: line 4: field larger than field limit "
                    f"({csv.field_size_limit()})\n")
 
 
@@ -579,6 +628,97 @@ def test_verify_corpus_matches_the_dict_reader_loop(tmp_path_factory, text):
     assert (code, out.getvalue()) == (want_code, want_text + "\n")
 
 
+def _good_rows(n):
+    """n corpus records (k, x, y, z) that all check, with varied terms."""
+    return [(x**3 + y**3 + z**3, x, y, z)
+            for x, y, z in ((i, -2 * i - 7, 10**21 + i) for i in range(n))]
+
+
+def test_verify_corpus_spanning_many_chunks_is_written_in_chunks(tmp_path):
+    corpus = tmp_path / "corpus.csv"
+    with open(corpus, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "x", "y", "z"])
+        writer.writerows(_good_rows(3000))
+        writer.writerow([1, 2, 3, 4])  # INVALID: exit 1
+    want_code, want_text = _verify_corpus_with_dict_reader(str(corpus))
+    code, text, writes = run_counted("verify-corpus", str(corpus))
+    assert (code, text) == (want_code, want_text + "\n") and code == 1
+    assert len(text) > 3 * cli._Out.CHUNK
+    assert writes <= len(text.encode("utf-8")) // cli._Out.CHUNK + 2
+
+
+@pytest.mark.parametrize("chunk", [1, 100, 1 << 30])
+def test_verify_corpus_keeps_the_lines_before_a_csv_error(capsys, monkeypatch, tmp_path, chunk):
+    monkeypatch.setattr(cli._Out, "CHUNK", chunk)
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("k,x,y,z\n29,1,1,3\n35,1,2,3\n1," + "1" * 200_000 + ",0,0\n1,2,3,4\n")
+    code, out, err = run(capsys, "verify-corpus", str(corpus))
+    assert (code, err) == (2, "")
+    assert out == ("line 2: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1\n"
+                   "line 3: k=35 (1,2,3) INVALID sum=36\n"
+                   f"{corpus}: line 4: field larger than field limit "
+                   f"({csv.field_size_limit()})\n")
+
+
+def test_an_error_mid_run_comes_after_the_lines_already_produced(capsys, monkeypatch, tmp_path):
+    real, calls = residues.signed_spelling_for, []
+
+    def fail_on_second(x, y, z):
+        calls.append(x)
+        if len(calls) == 2:
+            raise ValueError("second row")
+        return real(x, y, z)
+
+    monkeypatch.setattr(residues, "signed_spelling_for", fail_on_second)
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("k,x,y,z\n29,1,1,3\n29,1,1,3\n")
+    assert run(capsys, "verify-corpus", str(corpus)) == \
+        (2, "line 2: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1\n", "error: second row\n")
+
+
+def test_verify_corpus_names_the_file_and_line_of_a_byte_that_is_not_utf8(capsys, tmp_path):
+    corpus = tmp_path / "corpus.csv"
+    for end in (b"\n", b"\r\n", b"\r"):  # csv.reader's line ends
+        corpus.write_bytes(end.join([b"k,x,y,z", b"29,1,1,3", b"29,1,1,\xff3", b""]))
+        assert run(capsys, "verify-corpus", str(corpus)) == \
+            (2, f"{corpus}: line 3: 'utf-8' codec can't decode byte 0xff in position 7: "
+                "invalid start byte\n", "")
+
+    # far past the decoder's first read: the lines before it stay, and the
+    # line is counted in the file, not in the decoder's read-ahead
+    rows = _good_rows(500)
+    text = "k,x,y,z\n" + "".join(f"{k},{x},{y},{z}\n" for k, x, y, z in rows)
+    corpus.write_bytes(text.encode() + b'1,2,"3\xe2\x82",4\n')
+    code, out, err = run(capsys, "verify-corpus", str(corpus))
+    assert (code, err) == (2, "")
+    *kept, message = out.splitlines()
+    assert message == (f"{corpus}: line 502: 'utf-8' codec can't decode bytes in "
+                       "position 6-7: invalid continuation byte")
+    want = [f"line {i}: k={k} ({x},{y},{z}) OK" for i, (k, x, y, z) in enumerate(rows, 2)]
+    assert 0 < len(kept) < len(want)
+    assert [line.split(" class=")[0] for line in kept] == want[:len(kept)]
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_verify_corpus_from_a_pipe_bounds_the_line_of_a_byte_that_is_not_utf8(capsys):
+    # a pipe cannot be read again to find the line: name the last line read
+    rows = _good_rows(500)
+    text = "k,x,y,z\n" + "".join(f"{k},{x},{y},{z}\n" for k, x, y, z in rows)
+    r, w = os.pipe()
+    try:
+        os.write(w, text.encode() + b"1,2,3,\xff\n")  # under the 64 KiB pipe buffer
+        os.close(w)
+        path = f"/dev/fd/{r}"
+        code, out, err = run(capsys, "verify-corpus", path)
+    finally:
+        os.close(r)
+    assert (code, err) == (2, "")
+    *kept, message = out.splitlines()
+    assert 0 < len(kept) < len(rows)
+    assert message == f"{path}: after line {len(kept) + 1}: not UTF-8 (invalid start byte)"
+
+
 def test_search_rejects_oversized_bound(capsys):
     code, _, err = run(capsys, "search", "1", "--bound", "99999999999")
     assert code == 2
@@ -650,3 +790,19 @@ def test_cli_imports_only_the_standard_library():
     assert "pathlib" not in modules  # nothing the CLI imports needs it
     assert "dataclasses" not in modules  # it pulls in inspect: tens of ms per start
     assert "inspect" not in modules
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+def test_full_graph_dot_peak_memory_does_not_grow_with_the_output():
+    # VmHWM, not ru_maxrss: a child's ru_maxrss starts from its parent's peak
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from cubegraph import cli; "
+            "code = cli.main(['graph', '--alphabet', '01', '--order', '18']); "
+            "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]; "
+            "print(code, hwm[0].split()[1], file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, str(src)], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, hwm_kib = map(int, proc.stderr.split())
+    assert exit_code == 0
+    assert hwm_kib < 64 * 1024  # 18 MB of DOT; the whole text took about 147 MB

@@ -12,7 +12,6 @@ from cubegraph.debruijn import (
     MAX_DEBRUIJN_EDGES,
     NotEulerianError,
     TERNARY_ALPHABET,
-    build_graph,
     check_order,
     circuit_to_sequence,
     cyclic_windows,
@@ -21,11 +20,14 @@ from cubegraph.debruijn import (
     eulerian_circuit,
     eulerian_status,
     fixture_subgraph,
+    full_dot_lines,
     to_dot,
     validate_cycle,
     validate_full,
 )
 from cubegraph.residues import decompose
+
+from oracles import build_graph
 
 # hand-constructed ternary cycle claims; both are shorter than the 27
 # windows a full cover needs, so the validator must quantify the gaps
@@ -424,6 +426,23 @@ def test_to_dot_structure():
 def test_to_dot_empty_graph():
     dot = to_dot(DeBruijnGraph(BINARY, 2, frozenset()))
     assert dot.startswith("digraph") and dot.rstrip().endswith("}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_full_graphs())
+@example((Alphabet.from_string("10"), 5))
+@example((Alphabet.from_string("0"), 2))
+def test_full_dot_lines_equal_to_dot_of_the_full_graph(case):
+    # product() order is alphabet order, for any order of the symbols
+    alphabet, n = case
+    lines = list(full_dot_lines(alphabet, n, name="g"))
+    assert all(line.count("\n") == 1 and line.endswith("\n") for line in lines)
+    assert "".join(lines) == to_dot(build_graph(alphabet, n), name="g")
+
+
+def test_full_dot_lines_check_the_order_before_the_first_line():
+    with pytest.raises(ValueError, match="order must be >= 2"):
+        full_dot_lines(BINARY, 1)
 
 
 @given(alphabets, st.integers(2, 4))

@@ -1,12 +1,14 @@
 """Command-line surface: residue tables, graphs, cycles, search, corpus checks.
 
 Exit codes are stable across subcommands: 0 success/complete, 1 validation
-failure, 2 usage or parse error.  Output is written as it is produced, in
-pieces of about 64 KiB (see _Out), so memory does not grow with its size;
-identical invocations still produce bytewise-identical results.  A usage
-error found before any output leaves stdout empty.  One found mid-run, such
-as a corpus record that is not CSV or not UTF-8, keeps every line already
-produced on stdout, then adds its message and exits 2.
+failure, 2 usage or parse error, and 141 (128 + SIGPIPE), with nothing on
+stderr, when stdout is closed before the output ends, as `| head` does.
+Output is written as it is produced, in pieces of about 64 KiB (see _Out),
+so memory does not grow with its size; identical invocations still produce
+bytewise-identical results.  A usage error found before any output leaves
+stdout empty.  One found mid-run, such as a corpus record that is not CSV
+or not UTF-8, keeps every line already produced on stdout, then adds its
+message and exits 2.
 """
 
 import argparse
@@ -20,6 +22,7 @@ from . import debruijn, residues, search
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
+EXIT_CLOSED_STDOUT = 128 + 13  # the shell's code for a process killed by SIGPIPE
 
 
 class _Out:
@@ -129,10 +132,8 @@ def cmd_validate(args, out: _Out) -> int:
         report = debruijn.validate_full(cycle, alphabet, args.order)
     else:
         alphabet = debruijn.TERNARY_ALPHABET
+        alphabet.check_gram(cycle)  # an empty claim passes, and validate_cycle refuses it
         report = debruijn.validate_cycle(cycle, debruijn.FIXTURE_EDGES[args.against])
-    # a symbol outside the alphabet is a usage error, reported after a bad
-    # order or an empty sequence
-    alphabet.check_gram(cycle)
 
     key = alphabet.sort_key
     out.writelines(line + "\n" for line in (
@@ -258,6 +259,8 @@ def cmd_verify_corpus(args, out: _Out) -> int:
         else:
             out.write(f"{args.corpus}: after line {reader.line_num}: not UTF-8 ({err.reason})\n")
         return EXIT_USAGE
+    except BrokenPipeError:
+        raise  # stdout is closed: nothing was wrong with the corpus
     except OSError as err:
         out.write(f"cannot read corpus: {err}\n")
         return EXIT_USAGE
@@ -334,19 +337,29 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = _Out()
     try:
-        return args.func(args, out)
+        try:
+            return args.func(args, out)
+        finally:
+            out.flush()  # what was produced before an error comes first
     except residues.CubeSumMismatch:
         raise  # a search hit that fails its exact recheck is a bug, not bad input
+    except BrokenPipeError:
+        return EXIT_CLOSED_STDOUT  # the reader is gone: there is no one to tell
     except (ValueError, OSError) as err:
-        out.flush()  # what was produced before the error comes first
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        out.flush()
 
 
 def entrypoint():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # output that fit the buffer meets a closed reader here
+    except BrokenPipeError:
+        code = EXIT_CLOSED_STDOUT
+    if code == EXIT_CLOSED_STDOUT:
+        # the interpreter flushes stdout once more on exit: let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

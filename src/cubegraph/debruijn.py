@@ -14,10 +14,11 @@ Lyndon words (the Fredricksen-Kessler-Maiorana construction) in constant
 amortised time per symbol.  Hierholzer's algorithm on an explicit graph is
 kept for edge subsets, such as the E0/E1/E2 fixtures, which may not be
 Eulerian at all.  In the same way a claim against the full graph is
-validated with no graph and no target set (validate_full): the full target
-holds every n-gram, so one pass over the claim's windows settles it.  And
-the full graph's DOT text comes line by line from itertools.product
-(full_dot_lines).  DeBruijnGraph is left to the subgraphs.
+validated with no graph and no target set (validate_full): the claim must
+be over the alphabet, and the full target holds every n-gram over it, so
+one pass over the claim's windows settles it.  And the full graph's DOT
+text comes line by line from itertools.product (full_dot_lines).
+DeBruijnGraph is left to the subgraphs.
 
 A cyclic sequence is a plain non-empty str: its windows wrap around the
 end (cyclic_windows), and every rotation names the same cycle.
@@ -66,13 +67,6 @@ class Alphabet(namedtuple("Alphabet", "symbols")):
             raise ValueError(f"symbols {bad!r} not in alphabet {''.join(self.symbols)!r}")
 
 
-def edge_endpoints(edge: str) -> tuple[str, str]:
-    """(prefix, suffix) node pair of an edge gram: 'abc' -> ('ab', 'bc')."""
-    if len(edge) < 2:
-        raise ValueError(f"edge gram needs length >= 2, got {edge!r}")
-    return edge[:-1], edge[1:]
-
-
 class DeBruijnGraph(namedtuple("DeBruijnGraph", "alphabet order edges")):
     """A De Bruijn graph or edge-subgraph: edges are n-grams, nodes induced."""
 
@@ -89,7 +83,7 @@ class DeBruijnGraph(namedtuple("DeBruijnGraph", "alphabet order edges")):
 
     @property
     def nodes(self) -> frozenset[str]:
-        return frozenset(n for e in self.edges for n in edge_endpoints(e))
+        return frozenset(n for e in self.edges for n in (e[:-1], e[1:]))
 
 
 # The cap on a full graph B(k, n): k^n edges, with k counted as at least 2,
@@ -322,19 +316,17 @@ def validate_cycle(sequence: str, target: frozenset[str] | set[str]) -> Coverage
 
 def validate_full(sequence: str, alphabet: Alphabet, order: int) -> CoverageReport:
     """validate_cycle against every edge of B(alphabet, order), with no graph
-    and no target set.  Every window over the alphabet is a target edge, so
-    only windows holding a foreign symbol are extra, and the k^n edges are
-    listed only when fewer than k^n windows are covered, to name the missing."""
+    and no target set.  The claim must be over the alphabet: a foreign symbol
+    raises ValueError, after a bad order and an empty claim.  Then every
+    window is a target edge, so none is extra, and the k^n edges are listed
+    only when fewer than k^n windows are covered, to name the missing."""
     check_order(alphabet, order)
+    alphabet.check_gram(sequence)  # an empty claim passes, and _windows refuses it
     seen, duplicates = _windows(sequence, order)
-    extra = frozenset()
-    if not set(sequence).issubset(alphabet.symbols):
-        extra = frozenset(w for w in seen if not set(w).issubset(alphabet.symbols))
-        seen -= extra
     missing = frozenset()
     if len(seen) < len(alphabet) ** order:
         missing = frozenset(map("".join, product(alphabet.symbols, repeat=order))) - seen
-    return CoverageReport(seen, missing, extra, duplicates)
+    return CoverageReport(seen, missing, frozenset(), duplicates)
 
 
 def _dot_lines(name: str, nodes, edges):

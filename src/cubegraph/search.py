@@ -17,7 +17,7 @@ literature-scale solutions with 16+ digit terms check exactly.
 from collections import defaultdict, namedtuple
 from math import isqrt
 
-from .residues import ResidueTriple, is_feasible, label_solution
+from .residues import is_feasible, label_solution
 
 # classes reachable by a sum of two cubic residues: {0,1,8} + {0,1,8} mod 9
 TWO_CUBE_CLASSES = frozenset({0, 1, 2, 7, 8})
@@ -40,9 +40,9 @@ MAX_SEARCH_BOUND = 100_000
 MAX_SCAN_BOUND = 10_000
 
 # The widest k range one scan accepts.  A scan keeps one SearchResult per k
-# and prints a line for each, so its time and memory grow with the width even
-# at bound 1, by about 7.5 us and 350 B per k: at the cap,
-# `scan --from 1 --to 1000000 --bound 1` took 7.5-8.2 s at 354 MB peak RSS
+# and prints a line for each infeasible one, so its time and memory grow with
+# the width even at bound 1, by about 3 us and 115 B per k: at the cap,
+# `scan --from 1 --to 1000000 --bound 1` took 3.0-3.2 s at 130 MB peak RSS
 # (same machine as above).
 MAX_SCAN_WIDTH = 1_000_000
 
@@ -72,19 +72,16 @@ class SearchBounds(namedtuple("SearchBounds", "bound k_range")):
 class Representation(namedtuple("Representation", "x y z k path")):
     """A verified solution x^3 + y^3 + z^3 = k in canonical order x <= y <= z.
 
-    The residue path is computed from the terms when not given; a given
-    path must match it.  The path is a function of (x, y, z, k), so it never
-    decides an order or an equality."""
+    The residue path is computed from the terms.  It is a function of
+    (x, y, z, k), so it never decides an order or an equality."""
 
     __slots__ = ()
 
-    def __new__(cls, x: int, y: int, z: int, k: int, path: ResidueTriple | None = None):
+    def __new__(cls, x: int, y: int, z: int, k: int):
         if not x <= y <= z:
             raise ValueError(f"not in canonical order: ({x}, {y}, {z})")
-        expected = label_solution(x, y, z, k)  # checks the cube identity
-        if path is not None and path != expected:
-            raise ValueError(f"path {path} does not match {expected}")
-        return super().__new__(cls, x, y, z, k, expected)
+        path = label_solution(x, y, z, k)  # checks the cube identity
+        return super().__new__(cls, x, y, z, k, path)
 
     def triple(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
@@ -274,6 +271,8 @@ def scan_range(bounds: SearchBounds, workers: int | None = None) -> list[SearchR
     if start > stop:
         return []
     found, _, _ = _sweep(start, stop, bounds.bound)
-    # no cube sum is 4 or 5 mod 9, so an infeasible k has no hits to verify
-    return [SearchResult(k, _verified(k, found[k]), not is_feasible(k), SearchStats())
+    # no cube sum is 4 or 5 mod 9, so an infeasible k has no hits to verify.
+    # get, not found[k]: indexing the defaultdict would store a list per k
+    stats = SearchStats()
+    return [SearchResult(k, _verified(k, found.get(k, ())), not is_feasible(k), stats)
             for k in range(start, stop + 1)]

@@ -262,6 +262,9 @@ def test_validate_reads_a_claim_too_long_for_argv_from_stdin(capsys, monkeypatch
     (("", "--alphabet", "01"), "error: cyclic sequence must be non-empty\n"),
     (("", "--alphabet", "01", "--order", "1"), "error: order must be >= 2, got 1\n"),
     (("01", "--alphabet", "001"), "error: duplicate symbols: ('0', '0', '1')\n"),
+    (("0x1", "--alphabet", "01"), "error: symbols ['x'] not in alphabet '01'\n"),
+    (("", "--against", "E1"), "error: cyclic sequence must be non-empty\n"),
+    (("0x1", "--against", "E1"), "error: symbols ['x'] not in alphabet '018'\n"),
 ])
 def test_validate_bad_input_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, "validate", *argv)
@@ -806,3 +809,23 @@ def test_full_graph_dot_peak_memory_does_not_grow_with_the_output():
     exit_code, hwm_kib = map(int, proc.stderr.split())
     assert exit_code == 0
     assert hwm_kib < 64 * 1024  # 18 MB of DOT; the whole text took about 147 MB
+
+
+@pytest.mark.parametrize("argv", [
+    ("graph", "--alphabet", "01", "--order", "16"),
+    ("verify-corpus", "{corpus}"),
+])
+def test_a_closed_stdout_ends_the_run_quietly(tmp_path, argv):
+    # the reader goes away after one line, as `| head -1` does; each output is
+    # megabytes, far more than a pipe holds, so the run is still writing then
+    corpus = tmp_path / "c.csv"
+    corpus.write_text("k,x,y,z\n" + "29,1,1,3\n" * 20_000)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [a.format(corpus=corpus) for a in argv]
+    proc = subprocess.Popen([sys.executable, "-m", "cubegraph.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (cli.EXIT_CLOSED_STDOUT, b"")

@@ -16,7 +16,6 @@ from cubegraph.debruijn import (
     circuit_to_sequence,
     cyclic_windows,
     debruijn_sequence,
-    edge_endpoints,
     eulerian_circuit,
     eulerian_status,
     fixture_subgraph,
@@ -127,14 +126,6 @@ def test_build_graph_unary_degenerate():
 def test_build_graph_rejects_bad_order():
     with pytest.raises(ValueError):
         build_graph(BINARY, 1)
-
-
-def test_edge_endpoints():
-    assert edge_endpoints("001") == ("00", "01")
-    assert edge_endpoints("000") == ("00", "00")
-    assert edge_endpoints("818") == ("81", "18")
-    with pytest.raises(ValueError):
-        edge_endpoints("0")
 
 
 def test_graph_rejects_foreign_edges():
@@ -366,9 +357,17 @@ def full_claims(draw):
 @example(("0190", BINARY, 2))          # a foreign symbol
 @example(("0000", Alphabet.from_string("0"), 4))     # exact over one symbol
 def test_validate_full_matches_the_graph_target(case):
-    # the graph-free report equals the one against the full graph's edge set
+    # the graph-free report equals the one against the full graph's edge set,
+    # for a claim over the alphabet; any other claim is refused
     seq, alphabet, n = case
-    assert validate_full(seq, alphabet, n) == validate_cycle(seq, build_graph(alphabet, n).edges)
+    bad = [c for c in seq if c not in alphabet.symbols]
+    if bad:
+        with pytest.raises(ValueError) as exc:
+            validate_full(seq, alphabet, n)
+        assert str(exc.value) == f"symbols {bad!r} not in alphabet {''.join(alphabet.symbols)!r}"
+    else:
+        target = build_graph(alphabet, n).edges
+        assert validate_full(seq, alphabet, n) == validate_cycle(seq, target)
 
 
 def test_check_order_caps_the_edge_count():

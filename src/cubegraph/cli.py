@@ -128,24 +128,18 @@ def cmd_validate(args, out: _Out) -> int:
     # a long claim does not fit in one command-line argument (128 KiB on Linux)
     cycle = sys.stdin.read().removesuffix("\n") if args.cycle == "-" else args.cycle
     if args.against == "full":
-        alphabet = debruijn.Alphabet.from_string(args.alphabet)
-        report = debruijn.validate_full(cycle, alphabet, args.order)
+        graph = debruijn.Alphabet.from_string(args.alphabet), args.order, None
     else:
-        alphabet = debruijn.TERNARY_ALPHABET
-        alphabet.check_gram(cycle)  # an empty claim passes, and validate_cycle refuses it
-        report = debruijn.validate_cycle(cycle, debruijn.FIXTURE_EDGES[args.against])
-
-    key = alphabet.sort_key
-    out.writelines(line + "\n" for line in (
-        f"windows: {len(cycle)}",
-        f"covered: {len(report.covered)}/{len(report.covered) + len(report.missing)}",
-        f"missing ({len(report.missing)}): {' '.join(sorted(report.missing, key=key))}".rstrip(),
-        f"extra ({len(report.extra)}): {' '.join(sorted(report.extra, key=key))}".rstrip(),
-        "duplicates: " + (", ".join(f"{g} x{c}" for g, c in report.duplicates) or "none"),
-        f"complete: {'yes' if report.complete else 'no'}",
-        f"exact: {'yes' if report.exact else 'no'}",
-    ))
-    return EXIT_OK if report.exact else EXIT_INVALID
+        graph = debruijn.TERNARY_ALPHABET, 3, debruijn.FIXTURE_EDGES[args.against]
+    covered, total, missing, extra, duplicates = debruijn.coverage(cycle, *graph)
+    exact = covered == total and not extra and not duplicates
+    out.write(f"windows: {len(cycle)}\ncovered: {covered}/{total}\nmissing ({total - covered}):")
+    out.writelines(" " + g for g in missing)  # up to k^n grams: named as they are written
+    out.write(f"\nextra ({len(extra)}):{''.join(' ' + g for g in extra)}\n"
+              f"duplicates: {', '.join(f'{g} x{c}' for g, c in duplicates) or 'none'}\n"
+              f"complete: {'yes' if covered == total else 'no'}\n"
+              f"exact: {'yes' if exact else 'no'}\n")
+    return EXIT_OK if exact else EXIT_INVALID
 
 
 def cmd_search(args, out: _Out) -> int:

@@ -13,19 +13,19 @@ A full De Bruijn sequence needs no graph: debruijn_sequence concatenates
 Lyndon words (the Fredricksen-Kessler-Maiorana construction) in constant
 amortised time per symbol.  Hierholzer's algorithm on an explicit graph is
 kept for edge subsets, such as the E0/E1/E2 fixtures, which may not be
-Eulerian at all.  In the same way a claim against the full graph is
-validated with no graph and no target set (validate_full): the claim must
-be over the alphabet, and the full target holds every n-gram over it, so
-one pass over the claim's windows settles it.  And the full graph's DOT
-text comes line by line from itertools.product (full_dot_lines).
-DeBruijnGraph is left to the subgraphs.
+Eulerian at all.  A claim is validated against a fixture or the full
+graph with no graph and no window strings (coverage): one pass marks each
+window's base-k index in a k^n-byte table, and itertools.product, which
+yields the grams in alphabet order, names only the missing, extra and
+repeated ones.  The full graph's DOT text, too, comes line by line from
+itertools.product (full_dot_lines).  DeBruijnGraph is left to the subgraphs.
 
 A cyclic sequence is a plain non-empty str: its windows wrap around the
-end (cyclic_windows), and every rotation names the same cycle.
+end, and every rotation names the same cycle.
 """
 
-from collections import Counter, namedtuple
-from itertools import product
+from collections import namedtuple
+from itertools import chain, compress, cycle, islice, product
 
 
 class Alphabet(namedtuple("Alphabet", "symbols")):
@@ -90,10 +90,12 @@ class DeBruijnGraph(namedtuple("DeBruijnGraph", "alphabet order edges")):
 # so a one-symbol alphabet's single edge is no longer than a binary edge.
 # Binary is the worst case for a given edge count: the longest grams and
 # the most nodes.  At the cap, B(01, 19), `graph` took 0.6-0.7 s at 15 MB
-# peak RSS (55 MB of DOT, written as it is made), `validate 01` 1.3-1.5 s
-# at 139 MB (524,286 missing edges listed) and `cycle` 0.2 s at 27 MB (one
-# core of a 2-vCPU x86-64 machine, CPython 3.11).  `graph` alone would
-# allow more, B(01, 22) took 4.9 s at 15 MB; `validate` holds the cap here.
+# peak RSS (55 MB of DOT, written as it is made), `cycle` 0.2 s at 27 MB,
+# and `validate -` 0.2-0.3 s at 16 MB for an exact claim, 0.3-0.4 s at 16 MB
+# for its first 1,000 symbols (523,288 missing edges, named as they are
+# written) and 0.8-1.0 s at 53 MB for 2^19 random symbols, whose 138,296
+# repeated windows are sorted (one core of a 2-vCPU x86-64 machine, CPython
+# 3.11).  Above the cap only `graph` is measured: B(01, 22), 4.9 s at 15 MB.
 MAX_DEBRUIJN_EDGES = 2 ** 19
 
 
@@ -214,13 +216,6 @@ def eulerian_circuit(graph: DeBruijnGraph) -> list[str]:
     return trail
 
 
-def cyclic_windows(seq: str, length: int) -> list[str]:
-    """All len(seq) windows of the given length, read cyclically in order:
-    window i starts at symbol i and wraps around the end."""
-    doubled = seq * (2 if length <= len(seq) else length + 1)
-    return [doubled[i:i + length] for i in range(len(seq))]
-
-
 def circuit_to_sequence(circuit: list[str]) -> str:
     """Collapse a closed edge circuit to the cyclic string of each edge's
     last symbol; the string's length-n windows walk the circuit again."""
@@ -271,62 +266,47 @@ def _lyndon_concat(k: int, order: int) -> list[int]:
     return seq
 
 
-class CoverageReport(namedtuple("CoverageReport", "covered missing extra duplicates")):
-    """How the cyclic windows of a string relate to a target edge set:
-    `duplicates` holds (window, count > 1) pairs, sorted."""
+def coverage(sequence: str, alphabet: Alphabet, order: int, target: frozenset[str] | None = None):
+    """How the cyclic windows of a claim cover a target set of n-grams over
+    the alphabet, or every edge of B(alphabet, order) when target is None.
 
-    __slots__ = ()
-
-    @property
-    def complete(self) -> bool:
-        return not self.missing
-
-    @property
-    def exact(self) -> bool:
-        """Windows hit every target edge exactly once and nothing else."""
-        return self.complete and not self.extra and not self.duplicates
-
-
-def _windows(sequence: str, length: int) -> tuple[frozenset[str], tuple]:
-    """The distinct cyclic windows of a non-empty sequence, and the repeated
-    ones as (window, count) pairs in code-point order.  Windows are only
-    counted when some window repeats."""
+    Returns (covered, total, missing, extra, duplicates): the counts of
+    target grams hit and of all target grams; the missing grams, named
+    lazily, and the windows outside the target, both in alphabet order; and
+    the repeated windows as (gram, count) pairs in code-point order.  A bad
+    order, then a foreign symbol, then an empty claim raises ValueError."""
+    check_order(alphabet, order)
+    alphabet.check_gram(sequence)
     if not sequence:
         raise ValueError("cyclic sequence must be non-empty")
-    windows = cyclic_windows(sequence, length)
-    seen = frozenset(windows)
-    if len(seen) == len(windows):
-        return seen, ()
-    return seen, tuple(sorted((g, c) for g, c in Counter(windows).items() if c > 1))
+    k, size = len(alphabet), len(alphabet) ** order
+    rank = {s: i for i, s in enumerate(alphabet.symbols)}
+    seen = bytearray(size)  # by window index: the gram's symbol ranks read in base k
+    repeats = {}  # index -> count, for the windows seen more than once
+    symbols = chain(sequence, islice(cycle(sequence), order - 1))  # the claim read cyclically
+    w = 0
+    for c in islice(symbols, order - 1):
+        w = w * k + rank[c]
+    for c in symbols:  # one step per window
+        w = (w * k + rank[c]) % size
+        if seen[w]:
+            repeats[w] = repeats.get(w, 1) + 1
+        else:
+            seen[w] = 1
 
+    def grams():
+        """Every n-gram, in index order: alphabet order."""
+        return map("".join, product(alphabet.symbols, repeat=order))
 
-def validate_cycle(sequence: str, target: frozenset[str] | set[str]) -> CoverageReport:
-    """Partition a target edge set into covered/missing by the sequence's
-    cyclic windows; windows outside the target are extra, repeats counted."""
-    target = frozenset(target)
-    lengths = {len(g) for g in target}
-    if len(lengths) > 1:
-        raise ValueError(f"target grams have mixed lengths: {sorted(lengths)}")
-    # an empty target has no gram length, but the sequence is still checked
-    seen, duplicates = _windows(sequence, max(lengths, default=1))
-    if not target:
-        return CoverageReport(frozenset(), frozenset(), frozenset(), ())
-    return CoverageReport(seen & target, target - seen, seen - target, duplicates)
-
-
-def validate_full(sequence: str, alphabet: Alphabet, order: int) -> CoverageReport:
-    """validate_cycle against every edge of B(alphabet, order), with no graph
-    and no target set.  The claim must be over the alphabet: a foreign symbol
-    raises ValueError, after a bad order and an empty claim.  Then every
-    window is a target edge, so none is extra, and the k^n edges are listed
-    only when fewer than k^n windows are covered, to name the missing."""
-    check_order(alphabet, order)
-    alphabet.check_gram(sequence)  # an empty claim passes, and _windows refuses it
-    seen, duplicates = _windows(sequence, order)
-    missing = frozenset()
-    if len(seen) < len(alphabet) ** order:
-        missing = frozenset(map("".join, product(alphabet.symbols, repeat=order))) - seen
-    return CoverageReport(seen, missing, frozenset(), duplicates)
+    duplicates = tuple(sorted((g, repeats[i]) for i, g in enumerate(grams()) if i in repeats)) \
+        if repeats else ()
+    distinct = len(sequence) - sum(c - 1 for c in repeats.values())
+    unseen = seen.translate(bytes.maketrans(b"\0\1", b"\1\0"))
+    if target is None:  # every window is a target edge
+        return distinct, size, compress(grams(), unseen) if distinct < size else (), (), duplicates
+    extra = tuple(g for g in compress(grams(), seen) if g not in target)
+    missing = (g for g in compress(grams(), unseen) if g in target)
+    return distinct - len(extra), len(target), missing, extra, duplicates
 
 
 def _dot_lines(name: str, nodes, edges):

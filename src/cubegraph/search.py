@@ -214,12 +214,15 @@ def search_k(k: int, bounds: SearchBounds | int) -> SearchResult:
     x + y = d sign(k - z^3), xy = (d^2 - q) / 3 with q = |k - z^3| / d, and
     x, y are the roots of a quadratic whose discriminant (4q - d^2) / 3 must
     be a perfect square.  Only hits with z the largest term are kept, so each
-    multiset comes out once.  d = 0 leaves z^3 = k and the family (-t, t, z)."""
+    multiset comes out once.  d = 0 leaves z^3 = k and the family (-t, t, z).
+    A k beyond 3B^3 comes back empty without work: no box sum reaches it."""
     if isinstance(bounds, int):
         bounds = SearchBounds(bounds)
     if not is_feasible(k):
         return SearchResult(k, (), True, SearchStats())
     B = bounds.bound
+    if abs(k) > 3 * B ** 3:
+        return SearchResult(k, (), False, SearchStats())
     hits = []
     c = round(k ** (1 / 3)) if 0 <= k <= B ** 3 else 0
     if c ** 3 == k:  # d = 0: x = -y, and z = c is the largest term for 0 <= y <= c
@@ -263,14 +266,17 @@ def scan_range(bounds: SearchBounds, workers: int | None = None) -> list[SearchR
     """One SearchResult per k in bounds.k_range, in k order, from a single
     windowed sweep over the whole range.  Infeasible k (class 4 or 5) come
     back skipped; every result carries an empty SearchStats(), because the
-    sweep's work is shared across k.  `workers` is accepted for
+    sweep's work is shared across k, and the sweep covers only the k in
+    [-3B^3, 3B^3], the sums a box can reach.  `workers` is accepted for
     compatibility and has no effect: output is the same for any value."""
     if bounds.k_range is None:
         raise SearchBoundsError("scan_range needs bounds.k_range")
     start, stop = bounds.k_range
     if start > stop:
         return []
-    found, _, _ = _sweep(start, stop, bounds.bound)
+    reach = 3 * bounds.bound ** 3
+    lo, hi = max(start, -reach), min(stop, reach)
+    found = _sweep(lo, hi, bounds.bound)[0] if lo <= hi else {}
     # no cube sum is 4 or 5 mod 9, so an infeasible k has no hits to verify.
     # get, not found[k]: indexing the defaultdict would store a list per k
     stats = SearchStats()

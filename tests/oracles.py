@@ -1,5 +1,6 @@
 """Reference builders shared by the test modules."""
 
+from collections import Counter, namedtuple
 from itertools import product
 
 from cubegraph.debruijn import DeBruijnGraph, check_order
@@ -11,3 +12,46 @@ def build_graph(alphabet, order) -> DeBruijnGraph:
     the tests compare its graph-free paths with this one."""
     check_order(alphabet, order)
     return DeBruijnGraph(alphabet, order, frozenset(map("".join, product(alphabet.symbols, repeat=order))))
+
+
+def cyclic_windows(seq: str, length: int) -> list[str]:
+    """All len(seq) windows of the given length, read cyclically in order:
+    window i starts at symbol i and wraps around the end."""
+    doubled = seq * (2 if length <= len(seq) else length + 1)
+    return [doubled[i:i + length] for i in range(len(seq))]
+
+
+class CoverageReport(namedtuple("CoverageReport", "covered missing extra duplicates")):
+    """How the cyclic windows of a string relate to a target edge set:
+    `duplicates` holds (window, count > 1) pairs, sorted."""
+
+    __slots__ = ()
+
+    @property
+    def complete(self) -> bool:
+        return not self.missing
+
+    @property
+    def exact(self) -> bool:
+        """Windows hit every target edge exactly once and nothing else."""
+        return self.complete and not self.extra and not self.duplicates
+
+
+def validate_cycle(sequence: str, target) -> CoverageReport:
+    """Partition a target edge set into covered/missing by the sequence's
+    cyclic windows, as sets of strings; windows outside the target are
+    extra, repeats counted.  The program's coverage() does this with no
+    window strings; the tests compare the two."""
+    target = frozenset(target)
+    lengths = {len(g) for g in target}
+    if len(lengths) > 1:
+        raise ValueError(f"target grams have mixed lengths: {sorted(lengths)}")
+    if not sequence:
+        raise ValueError("cyclic sequence must be non-empty")
+    # an empty target has no gram length, but the sequence is still checked
+    windows = cyclic_windows(sequence, max(lengths, default=1))
+    if not target:
+        return CoverageReport(frozenset(), frozenset(), frozenset(), ())
+    seen = frozenset(windows)
+    duplicates = tuple(sorted((g, c) for g, c in Counter(windows).items() if c > 1))
+    return CoverageReport(seen & target, target - seen, seen - target, duplicates)

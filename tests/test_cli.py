@@ -272,10 +272,12 @@ def test_validate_bad_input_is_a_usage_error(capsys, argv, message):
 
 
 def test_validate_full_builds_no_graph(capsys, monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("a full claim is validated without a graph")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a full claim is validated without a graph, and an exact "
+                             "one without naming a gram")
 
     monkeypatch.setattr(debruijn, "DeBruijnGraph", forbidden)
+    monkeypatch.setattr(debruijn, "product", forbidden)
     code, out, err = run(capsys, "validate", "00010111", "--alphabet", "01", "--order", "3")
     assert (code, err) == (0, "")
     assert out.endswith("covered: 8/8\nmissing (0):\nextra (0):\nduplicates: none\n"
@@ -296,8 +298,10 @@ CAP_ORDER = debruijn.MAX_DEBRUIJN_EDGES.bit_length() - 1  # B(01, CAP_ORDER) is 
 ])
 def test_debruijn_commands_refuse_orders_above_the_cap(capsys, monkeypatch, argv):
     assert 2 ** CAP_ORDER == debruijn.MAX_DEBRUIJN_EDGES
-    for name in ("product", "_lyndon_concat", "cyclic_windows"):
+    for name in ("product", "_lyndon_concat"):
         monkeypatch.setattr(debruijn, name, _forbidden)
+    # coverage's table of k^n window marks
+    monkeypatch.setattr(debruijn, "bytearray", _forbidden, raising=False)
     code, out, err = run(capsys, *argv, "--order", str(CAP_ORDER + 1))
     assert (code, out) == (2, "")
     assert err == (f"error: B(01, {CAP_ORDER + 1}) is too large: the supported maximum is "
@@ -306,7 +310,7 @@ def test_debruijn_commands_refuse_orders_above_the_cap(capsys, monkeypatch, argv
 
 def test_debruijn_commands_accept_the_cap(capsys, monkeypatch):
     # stub the k^n-sized work: one edge for graph, one Lyndon word for cycle,
-    # and no edges to list as missing for validate
+    # and for validate one gram to name, which the claim covers
     monkeypatch.setattr(debruijn, "product", lambda symbols, repeat: [("0",) * repeat])
     monkeypatch.setattr(debruijn, "_lyndon_concat", lambda k, order: [0, 1])
     order = str(CAP_ORDER)
@@ -316,8 +320,9 @@ def test_debruijn_commands_accept_the_cap(capsys, monkeypatch):
     assert run(capsys, "cycle", "--alphabet", "01", "--order", order) == \
         (0, "sequence: 01\nlength: 2\n", "")
     code, out, err = run(capsys, "validate", "0", "--alphabet", "01", "--order", order)
-    assert (code, err) == (0, "")
-    assert out.startswith("windows: 1\ncovered: 1/1\n")
+    assert (code, err) == (1, "")
+    edges = debruijn.MAX_DEBRUIJN_EDGES
+    assert out.startswith(f"windows: 1\ncovered: 1/{edges}\nmissing ({edges - 1}):\nextra (0):\n")
 
 
 def test_search_writes_rows_and_summary(capsys, tmp_path):
@@ -800,15 +805,26 @@ def test_full_graph_dot_peak_memory_does_not_grow_with_the_output():
     # VmHWM, not ru_maxrss: a child's ru_maxrss starts from its parent's peak
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); from cubegraph import cli; "
-            "code = cli.main(['graph', '--alphabet', '01', '--order', '18']); "
+            "code = cli.main(sys.argv[2:]); "
             "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]; "
             "print(code, hwm[0].split()[1], file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-c", code, str(src)], stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    exit_code, hwm_kib = map(int, proc.stderr.split())
-    assert exit_code == 0
-    assert hwm_kib < 64 * 1024  # 18 MB of DOT; the whole text took about 147 MB
+    seq = debruijn.debruijn_sequence(debruijn.Alphabet.from_string("01"), 18)
+    validate = ("validate", "-", "--alphabet", "01", "--order", "18")
+    for argv, claim, want_code, max_mib in [
+        # 18 MB of DOT; the whole text took about 147 MB
+        (("graph", "--alphabet", "01", "--order", "18"), "", 0, 64),
+        # a set of window strings took about 50 MB for an exact claim, and
+        # with the missing edges listed in one string about 77 MB
+        (validate, seq, 0, 32),
+        (validate, seq[:1000], 1, 32),
+    ]:
+        proc = subprocess.run([sys.executable, "-c", code, str(src), *argv], input=claim,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        exit_code, hwm_kib = map(int, proc.stderr.split())
+        assert exit_code == want_code
+        assert hwm_kib < max_mib * 1024, argv
 
 
 @pytest.mark.parametrize("argv", [

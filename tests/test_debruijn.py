@@ -14,19 +14,17 @@ from cubegraph.debruijn import (
     TERNARY_ALPHABET,
     check_order,
     circuit_to_sequence,
-    cyclic_windows,
+    coverage,
     debruijn_sequence,
     eulerian_circuit,
     eulerian_status,
     fixture_subgraph,
     full_dot_lines,
     to_dot,
-    validate_cycle,
-    validate_full,
 )
 from cubegraph.residues import decompose
 
-from oracles import build_graph
+from oracles import build_graph, cyclic_windows, validate_cycle
 
 # hand-constructed ternary cycle claims; both are shorter than the 27
 # windows a full cover needs, so the validator must quantify the gaps
@@ -335,39 +333,60 @@ def test_validate_cycle_rejects_mixed_gram_lengths():
 
 @st.composite
 def full_claims(draw):
-    """(sequence, alphabet, n): 1-4 symbols in a random order, n in 2..6, and
-    a claim of 1 to k^n + 5 symbols: a De Bruijn sequence rotated, or random
-    symbols, sometimes with one outside the alphabet."""
+    """(sequence, alphabet, n, None): 1-4 symbols in a random order, n in
+    2..6, and a claim of 1 to k^n + 5 symbols: a De Bruijn sequence rotated,
+    or random symbols, sometimes with one outside the alphabet."""
     k = draw(st.integers(1, 4))
     n = draw(st.integers(2, 6))
     alphabet = Alphabet(tuple(draw(st.permutations("018a"))[:k]))
     if draw(st.booleans()):
         seq = debruijn_sequence(alphabet, n)
         r = draw(st.integers(0, len(seq) - 1))
-        return seq[r:] + seq[:r], alphabet, n
+        return seq[r:] + seq[:r], alphabet, n, None
     pool = alphabet.symbols + (("9",) if draw(st.booleans()) else ())
     seq = draw(st.text(st.sampled_from(pool), min_size=1, max_size=k ** n + 5))
-    return seq, alphabet, n
+    return seq, alphabet, n, None
 
 
-@settings(max_examples=150, deadline=None)
-@given(full_claims())
-@example(("0", BINARY, 3))             # shorter than n
-@example(("110110", Alphabet.from_string("10"), 2))  # repeats
-@example(("0190", BINARY, 2))          # a foreign symbol
-@example(("0000", Alphabet.from_string("0"), 4))     # exact over one symbol
-def test_validate_full_matches_the_graph_target(case):
-    # the graph-free report equals the one against the full graph's edge set,
-    # for a claim over the alphabet; any other claim is refused
-    seq, alphabet, n = case
+@st.composite
+def fixture_claims(draw):
+    """(sequence, TERNARY_ALPHABET, 3, name): a claim of 1 to 40 symbols
+    against the fixture E0, E1 or E2, sometimes with one outside 018."""
+    pool = TERNARY_ALPHABET.symbols + (("9",) if draw(st.booleans()) else ())
+    seq = draw(st.text(st.sampled_from(pool), min_size=1, max_size=40))
+    return seq, TERNARY_ALPHABET, 3, draw(st.sampled_from(sorted(FIXTURE_EDGES)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(full_claims(), fixture_claims()))
+@example(("0", BINARY, 3, None))             # shorter than n
+@example(("110110", Alphabet.from_string("10"), 2, None))  # repeats
+@example(("0190", BINARY, 2, None))          # a foreign symbol
+@example(("0000", Alphabet.from_string("0"), 4, None))     # exact over one symbol
+@example((TERNARY_CYCLE_23, TERNARY_ALPHABET, 3, None))
+@example((TERNARY_CYCLE_23, TERNARY_ALPHABET, 3, "E0"))
+@example((HALF_CYCLE_CLAIMS["E1"], TERNARY_ALPHABET, 3, "E1"))  # complete, with extras
+@example((HALF_CYCLE_CLAIMS["E2"], TERNARY_ALPHABET, 3, "E2"))
+@example(("0x1", TERNARY_ALPHABET, 3, "E1"))
+def test_coverage_matches_the_reference(case):
+    # the window-index counts equal the string sets of the reference, against
+    # the full graph's edge set or a fixture's, for a claim over the
+    # alphabet; any other claim is refused
+    seq, alphabet, n, name = case
+    target = FIXTURE_EDGES[name] if name else None
     bad = [c for c in seq if c not in alphabet.symbols]
     if bad:
         with pytest.raises(ValueError) as exc:
-            validate_full(seq, alphabet, n)
+            coverage(seq, alphabet, n, target)
         assert str(exc.value) == f"symbols {bad!r} not in alphabet {''.join(alphabet.symbols)!r}"
     else:
-        target = build_graph(alphabet, n).edges
-        assert validate_full(seq, alphabet, n) == validate_cycle(seq, target)
+        report = validate_cycle(seq, target or build_graph(alphabet, n).edges)
+        covered, total, missing, extra, duplicates = coverage(seq, alphabet, n, target)
+        key = alphabet.sort_key
+        assert (covered, total) == (len(report.covered), len(report.covered) + len(report.missing))
+        assert list(missing) == sorted(report.missing, key=key)
+        assert extra == tuple(sorted(report.extra, key=key))
+        assert duplicates == report.duplicates
 
 
 def test_check_order_caps_the_edge_count():

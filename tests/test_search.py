@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubegraph import search as search_module
-from cubegraph.residues import CubeSumMismatch, class_of, decompose, label_solution
+from cubegraph.residues import CubeSumMismatch, class_of, decompose, is_feasible, label_solution
 from cubegraph.search import (
     MAX_SCAN_BOUND,
     MAX_SCAN_WIDTH,
@@ -216,9 +216,10 @@ def test_sweep_cost_model(b):
 @pytest.mark.parametrize("k", [0, 2, 29, -33])
 def test_divisor_cost_model(k, b):
     # a candidate is a d in 1..2b and a z in [-b, b], z >= -d/2, with d | k - z^3;
-    # the mod-9 sieve drops those whose k - z^3 no two cubes reach
+    # the mod-9 sieve drops those whose k - z^3 no two cubes reach.  A k
+    # beyond 3b^3, which no box sum reaches, has none
     candidates = [z for d in range(1, 2 * b + 1) for z in range(max(-b, -(d // 2)), b + 1)
-                  if (k - z ** 3) % d == 0]
+                  if (k - z ** 3) % d == 0] if abs(k) <= 3 * b ** 3 else []
     stats = search_k(k, b).stats
     assert stats.pairs_scanned + stats.z_pruned == len(candidates)
     assert stats.z_pruned == sum((k - z ** 3) % 9 not in TWO_CUBE_CLASSES for z in candidates)
@@ -308,6 +309,39 @@ def test_scan_range_matches_oracle_property(bound, start, width):
 def test_divisor_search_matches_the_sweep(k, bound):
     found, _, _ = search_module._sweep(k, k, bound)
     assert found_triples(search_k(k, bound)) == sorted(found[k])
+
+
+def _no_work(*args):
+    raise AssertionError("no sum over the box reaches this k: nothing to factor or sweep")
+
+
+@pytest.mark.parametrize("b", [1, 2, 7, 100])
+def test_search_beyond_every_box_sum_returns_at_once(monkeypatch, b):
+    reach = 3 * b ** 3  # the largest |x^3 + y^3 + z^3| in the box, at (b, b, b) alone
+    assert found_triples(search_k(reach, b)) == [(b, b, b)]
+    assert found_triples(search_k(-reach, b)) == [(-b, -b, -b)]
+    monkeypatch.setattr(search_module, "_smallest_prime_factors", _no_work)
+    for k in (reach + 1, reach + 2, -reach - 1, -reach - 2, 10 ** 39 + 1):
+        result = search_k(k, b)
+        assert (result.representations, result.skipped) == ((), not is_feasible(k))
+
+
+def test_scan_sweeps_only_the_k_a_box_reaches(monkeypatch):
+    b, reach = 2, 24
+    sweep = search_module._sweep
+    calls = []
+    monkeypatch.setattr(search_module, "_sweep",
+                        lambda lo, hi, B: calls.append((lo, hi)) or sweep(lo, hi, B))
+    results = scan_range(SearchBounds(b, (reach - 3, reach + 5)))
+    assert calls == [(reach - 3, reach)]
+    assert [r.k for r in results] == list(range(reach - 3, reach + 6))
+    assert [found_triples(r) for r in results[3:]] == [[(2, 2, 2)]] + [[]] * 5
+    monkeypatch.setattr(search_module, "_sweep", _no_work)
+    for window in [(reach + 1, reach + 10), (-reach - 10, -reach - 1)]:
+        results = scan_range(SearchBounds(b, window))
+        assert [r.k for r in results] == list(range(window[0], window[1] + 1))
+        assert [r.skipped for r in results] == [not is_feasible(r.k) for r in results]
+        assert all(r.representations == () for r in results)
 
 
 def test_smallest_prime_factors():

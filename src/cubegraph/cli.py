@@ -91,16 +91,20 @@ def cmd_classes(args, out: _Out) -> int:
     return EXIT_OK
 
 
+def _graph(alphabet: str, order: int, fixture: str | None):
+    """The (alphabet, order, edges) of the graph a command names: a fixture's
+    ternary edge subset, or with no fixture (None or "full") the full graph
+    B(alphabet, order).  A fixture ignores --alphabet, which is not parsed."""
+    edges = debruijn.FIXTURE_EDGES.get(fixture)
+    if edges is None:
+        return debruijn.Alphabet.from_string(alphabet), order, None
+    return debruijn.TERNARY_ALPHABET, 3, edges
+
+
 def cmd_graph(args, out: _Out) -> int:
-    if args.subgraph:
-        graph = debruijn.fixture_subgraph(args.subgraph)
-        lines = [debruijn.to_dot(graph, name=args.subgraph)]
-        nodes, edges = len(graph.nodes), len(graph.edges)
-    else:  # a full graph's DOT needs no graph
-        alphabet = debruijn.Alphabet.from_string(args.alphabet)
-        lines = debruijn.full_dot_lines(alphabet, args.order,
-                                        name=f"debruijn_{args.alphabet}_{args.order}")
-        nodes, edges = len(alphabet) ** (args.order - 1), len(alphabet) ** args.order
+    nodes, edges, lines = debruijn.dot_lines(
+        *_graph(args.alphabet, args.order, args.subgraph),
+        name=args.subgraph or f"debruijn_{args.alphabet}_{args.order}")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
@@ -111,15 +115,11 @@ def cmd_graph(args, out: _Out) -> int:
 
 
 def cmd_cycle(args, out: _Out) -> int:
-    if args.subgraph:  # an edge subset may not be Eulerian: walk it with Hierholzer
-        try:
-            circuit = debruijn.eulerian_circuit(debruijn.fixture_subgraph(args.subgraph))
-        except debruijn.NotEulerianError as err:
-            out.write(f"no Eulerian circuit: {err.status.describe()}\n")
-            return EXIT_INVALID
-        seq = debruijn.circuit_to_sequence(circuit)
-    else:  # a full graph always is, and its sequence needs no graph
-        seq = debruijn.debruijn_sequence(debruijn.Alphabet.from_string(args.alphabet), args.order)
+    try:  # an edge subset may not be Eulerian
+        seq = debruijn.debruijn_sequence(*_graph(args.alphabet, args.order, args.subgraph))
+    except debruijn.NotEulerianError as err:
+        out.write(f"no Eulerian circuit: {err.status.describe()}\n")
+        return EXIT_INVALID
     out.write(f"sequence: {seq}\nlength: {len(seq)}\n")
     return EXIT_OK
 
@@ -127,11 +127,8 @@ def cmd_cycle(args, out: _Out) -> int:
 def cmd_validate(args, out: _Out) -> int:
     # a long claim does not fit in one command-line argument (128 KiB on Linux)
     cycle = sys.stdin.read().removesuffix("\n") if args.cycle == "-" else args.cycle
-    if args.against == "full":
-        graph = debruijn.Alphabet.from_string(args.alphabet), args.order, None
-    else:
-        graph = debruijn.TERNARY_ALPHABET, 3, debruijn.FIXTURE_EDGES[args.against]
-    covered, total, missing, extra, duplicates = debruijn.coverage(cycle, *graph)
+    covered, total, missing, extra, duplicates = debruijn.coverage(
+        cycle, *_graph(args.alphabet, args.order, args.against))
     exact = covered == total and not extra and not duplicates
     out.write(f"windows: {len(cycle)}\ncovered: {covered}/{total}\nmissing ({total - covered}):")
     out.writelines(" " + g for g in missing)  # up to k^n grams: named as they are written

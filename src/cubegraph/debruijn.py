@@ -1,24 +1,25 @@
 """De Bruijn graphs over small alphabets, Eulerian circuits, cycle validation.
 
 Nodes are (n-1)-grams, edges are n-grams: the edge 'abc' runs from node
-'ab' to node 'bc'.  A full graph B(alphabet, n) has every n-gram as an
-edge; subgraphs are just edge subsets with their induced nodes.  All
-tie-breaking is lexicographic in alphabet order, so circuits and
-sequences are reproducible byte-for-byte.  There is one gram order,
-Alphabet.sort_key, and the Eulerian code sorts a graph's edges by it once:
-every out-list then comes out in walk order, and the first tail node is
+'ab' to node 'bc'.  A graph is named by (alphabet, order, edges): edges=None
+is the full graph B(alphabet, n), with every n-gram as an edge, and an edge
+set is a subgraph with its induced nodes, such as the E0/E1/E2 fixtures.
+All tie-breaking is lexicographic in alphabet order, so circuits and
+sequences are reproducible byte-for-byte.  There is one gram order, that of
+itertools.product over the symbols (grams): a subgraph's nodes and edges
+are put in order by filtering that walk, never by a sort, so every out-list
+of the Eulerian code comes out in walk order, and the first tail node is
 where Hierholzer starts.
 
 A full De Bruijn sequence needs no graph: debruijn_sequence concatenates
 Lyndon words (the Fredricksen-Kessler-Maiorana construction) in constant
-amortised time per symbol.  Hierholzer's algorithm on an explicit graph is
-kept for edge subsets, such as the E0/E1/E2 fixtures, which may not be
-Eulerian at all.  A claim is validated against a fixture or the full
-graph with no graph and no window strings (coverage): one pass marks each
-window's base-k index in a k^n-byte table, and itertools.product, which
-yields the grams in alphabet order, names only the missing, extra and
-repeated ones.  The full graph's DOT text, too, comes line by line from
-itertools.product (full_dot_lines).  DeBruijnGraph is left to the subgraphs.
+amortised time per symbol.  Hierholzer's algorithm on an explicit graph
+walks an edge subset, which may not be Eulerian at all.  A claim is
+validated with no graph and no window strings (coverage): one pass marks
+each window's base-k index in a k^n-byte table, and grams names only the
+missing, extra and repeated ones.  The DOT text, too, comes line by line
+from grams (dot_lines), with no graph for the full one.  DeBruijnGraph is
+left to the subgraphs.
 
 A cyclic sequence is a plain non-empty str: its windows wrap around the
 end, and every rotation names the same cycle.
@@ -30,9 +31,9 @@ from itertools import chain, compress, cycle, islice, product
 
 class Alphabet(namedtuple("Alphabet", "symbols")):
     """Ordered distinct single-character symbols; order defines tie-breaking.
+    Equality and hashing see the symbols only, and len() counts them."""
 
-    Equality and hashing see the symbols only, and len() counts them.  The
-    instance dict holds just the gram-order table derived from the symbols."""
+    __slots__ = ()
 
     def __new__(cls, symbols: tuple[str, ...]):
         if not symbols:
@@ -41,10 +42,7 @@ class Alphabet(namedtuple("Alphabet", "symbols")):
             raise ValueError(f"symbols must be single characters: {symbols!r}")
         if len(set(symbols)) != len(symbols):
             raise ValueError(f"duplicate symbols: {symbols!r}")
-        self = super().__new__(cls, symbols)
-        # symbol -> chr(rank): a translated gram sorts in alphabet order
-        self._order = str.maketrans({s: chr(i) for i, s in enumerate(symbols)})
-        return self
+        return super().__new__(cls, symbols)
 
     @classmethod
     def from_string(cls, text: str) -> "Alphabet":
@@ -52,11 +50,6 @@ class Alphabet(namedtuple("Alphabet", "symbols")):
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def sort_key(self, gram: str) -> str:
-        """Key that orders grams lexicographically in alphabet order.  A symbol
-        outside the alphabet passes through unchecked: see check_gram."""
-        return gram.translate(self._order)
 
     def check_gram(self, gram: str, length: int | None = None):
         if length is not None and len(gram) != length:
@@ -73,8 +66,7 @@ class DeBruijnGraph(namedtuple("DeBruijnGraph", "alphabet order edges")):
     __slots__ = ()
 
     def __new__(cls, alphabet: Alphabet, order: int, edges: frozenset[str]):
-        if order < 2:
-            raise ValueError(f"order must be >= 2, got {order}")
+        check_order(alphabet, order)
         # one bulk pass; the per-edge loop only runs to name the bad edge
         if set(map(len, edges)) - {order} or not set("".join(edges)).issubset(alphabet.symbols):
             for e in edges:
@@ -90,7 +82,7 @@ class DeBruijnGraph(namedtuple("DeBruijnGraph", "alphabet order edges")):
 # so a one-symbol alphabet's single edge is no longer than a binary edge.
 # Binary is the worst case for a given edge count: the longest grams and
 # the most nodes.  At the cap, B(01, 19), `graph` took 0.6-0.7 s at 15 MB
-# peak RSS (55 MB of DOT, written as it is made), `cycle` 0.2 s at 27 MB,
+# peak RSS (55 MB of DOT, written as it is made), `cycle` 0.15 s at 23 MB,
 # and `validate -` 0.2-0.3 s at 16 MB for an exact claim, 0.3-0.4 s at 16 MB
 # for its first 1,000 symbols (523,288 missing edges, named as they are
 # written) and 0.8-1.0 s at 53 MB for 2^19 random symbols, whose 138,296
@@ -110,6 +102,12 @@ def check_order(alphabet: Alphabet, order: int):
     if order > max_order or len(alphabet) ** order > MAX_DEBRUIJN_EDGES:
         raise ValueError(f"B({''.join(alphabet.symbols)}, {order}) is too large: the supported "
                          f"maximum is {MAX_DEBRUIJN_EDGES} edges and order {max_order}")
+
+
+def grams(alphabet: Alphabet, n: int):
+    """Every n-gram over the alphabet, lazily, in alphabet order: the i-th is
+    i written in base k with the symbols as digits."""
+    return map("".join, product(alphabet.symbols, repeat=n))
 
 
 class EulerianStatus(namedtuple("EulerianStatus", "eulerian unbalanced connected empty")):
@@ -142,7 +140,7 @@ def _incidence(graph: DeBruijnGraph) -> tuple[dict[str, list[str]], dict[str, li
     order; the tail nodes, too, come out in alphabet order."""
     out: dict[str, list[str]] = {}
     into: dict[str, list[str]] = {}
-    for e in sorted(graph.edges, key=graph.alphabet.sort_key):
+    for e in filter(graph.edges.__contains__, grams(graph.alphabet, graph.order)):
         out.setdefault(e[:-1], []).append(e)
         into.setdefault(e[1:], []).append(e)
     return out, into
@@ -158,8 +156,10 @@ def _status(graph: DeBruijnGraph, out: dict, into: dict) -> EulerianStatus:
     if not graph.edges:
         return EulerianStatus(True, (), True, True)
     active = out.keys() | into.keys()
-    unbalanced = tuple(sorted((n for n in active if len(out.get(n, ())) != len(into.get(n, ()))),
-                              key=graph.alphabet.sort_key))
+    unbalanced = {n for n in active if len(out.get(n, ())) != len(into.get(n, ()))}
+    # put in alphabet order by a walk over every node, but only when there is any
+    unbalanced = tuple(filter(unbalanced.__contains__, grams(graph.alphabet, graph.order - 1))) \
+        if unbalanced else ()
     start = next(iter(out))  # strong connectivity holds from every active node or from none
     connected = _reachable(start, out, _SUFFIX) >= active and \
         _reachable(start, into, _PREFIX) >= active
@@ -229,23 +229,27 @@ def circuit_to_sequence(circuit: list[str]) -> str:
     return "".join(e[-1] for e in circuit)
 
 
-def debruijn_sequence(alphabet: Alphabet, order: int) -> str:
-    """Deterministic De Bruijn sequence of length k^n: every n-gram appears
-    exactly once among its cyclic windows.
+def debruijn_sequence(alphabet: Alphabet, order: int, edges: frozenset[str] | None = None) -> str:
+    """Deterministic cyclic sequence whose n-gram windows walk each edge of
+    the graph (alphabet, order, edges) once.  An edge subset is walked by
+    Hierholzer (eulerian_circuit), which raises NotEulerianError if it cannot.
 
-    Built with no graph by the Fredricksen-Kessler-Maiorana construction:
-    the Lyndon words over the alphabet whose length divides n, concatenated
-    in lexicographic (alphabet) order, are a De Bruijn sequence.  Words are
-    generated by Duval's successor rule in constant amortised time per
-    symbol (Fredricksen & Maiorana, Discrete Math. 23, 1978; Ruskey, Savage
-    & Wang, J. Algorithms 13, 1992).  The result is rotated left by n-1,
-    which makes it byte-identical to the sequence of the Hierholzer circuit
-    (eulerian_circuit) of the full graph B(alphabet, order).
+    The full graph (edges=None) needs no graph: the Lyndon words over the
+    alphabet whose length divides n, concatenated in lexicographic (alphabet)
+    order, are a De Bruijn sequence of length k^n (Fredricksen-Kessler-
+    Maiorana).  Words are generated by Duval's successor rule in constant
+    amortised time per symbol (Fredricksen & Maiorana, Discrete Math. 23,
+    1978; Ruskey, Savage & Wang, J. Algorithms 13, 1992).  The result is
+    rotated left by n-1, which makes it byte-identical to the sequence of the
+    Hierholzer circuit of the full graph B(alphabet, order).
     """
+    if edges is not None:
+        return circuit_to_sequence(eulerian_circuit(DeBruijnGraph(alphabet, order, edges)))
     check_order(alphabet, order)
-    seq = _lyndon_concat(len(alphabet), order)
-    r = (order - 1) % len(seq)
-    return "".join(map(alphabet.symbols.__getitem__, seq[r:] + seq[:r]))
+    # the list of symbol indices is freed once joined: the str is rotated
+    text = "".join(map(alphabet.symbols.__getitem__, _lyndon_concat(len(alphabet), order)))
+    r = (order - 1) % len(text)
+    return text[r:] + text[:r]
 
 
 def _lyndon_concat(k: int, order: int) -> list[int]:
@@ -293,20 +297,35 @@ def coverage(sequence: str, alphabet: Alphabet, order: int, target: frozenset[st
             repeats[w] = repeats.get(w, 1) + 1
         else:
             seen[w] = 1
-
-    def grams():
-        """Every n-gram, in index order: alphabet order."""
-        return map("".join, product(alphabet.symbols, repeat=order))
-
-    duplicates = tuple(sorted((g, repeats[i]) for i, g in enumerate(grams()) if i in repeats)) \
-        if repeats else ()
+    duplicates = tuple(sorted((g, repeats[i]) for i, g in enumerate(grams(alphabet, order))
+                              if i in repeats)) if repeats else ()
     distinct = len(sequence) - sum(c - 1 for c in repeats.values())
     unseen = seen.translate(bytes.maketrans(b"\0\1", b"\1\0"))
     if target is None:  # every window is a target edge
-        return distinct, size, compress(grams(), unseen) if distinct < size else (), (), duplicates
-    extra = tuple(g for g in compress(grams(), seen) if g not in target)
-    missing = (g for g in compress(grams(), unseen) if g in target)
+        missing = compress(grams(alphabet, order), unseen) if distinct < size else ()
+        return distinct, size, missing, (), duplicates
+    extra = tuple(g for g in compress(grams(alphabet, order), seen) if g not in target)
+    missing = (g for g in compress(grams(alphabet, order), unseen) if g in target)
     return distinct - len(extra), len(target), missing, extra, duplicates
+
+
+def dot_lines(alphabet: Alphabet, order: int, edges: frozenset[str] | None = None,
+              name: str = "debruijn"):
+    """(node count, edge count, DOT lines) of the graph (alphabet, order,
+    edges): a digraph with gram-labelled nodes, then edges, each in alphabet
+    order.  The lines come one at a time from grams, with no graph for the
+    full one; a subgraph's nodes are the (n-1)-grams its edges touch.  The
+    graph is checked here, before the first line."""
+    if edges is None:
+        check_order(alphabet, order)
+        counts = len(alphabet) ** (order - 1), len(alphabet) ** order
+        nodes, edges = grams(alphabet, order - 1), grams(alphabet, order)
+    else:
+        touched = DeBruijnGraph(alphabet, order, edges).nodes
+        counts = len(touched), len(edges)
+        nodes = filter(touched.__contains__, grams(alphabet, order - 1))
+        edges = filter(edges.__contains__, grams(alphabet, order))
+    return (*counts, _dot_lines(name, nodes, edges))
 
 
 def _dot_lines(name: str, nodes, edges):
@@ -316,23 +335,6 @@ def _dot_lines(name: str, nodes, edges):
     for e in edges:
         yield f'  "{e[:-1]}" -> "{e[1:]}" [label="{e}"];\n'
     yield "}\n"
-
-
-def to_dot(graph: DeBruijnGraph, name: str = "debruijn") -> str:
-    """DOT digraph text with gram-labelled nodes/edges in stable order."""
-    key = graph.alphabet.sort_key
-    return "".join(_dot_lines(name, sorted(graph.nodes, key=key), sorted(graph.edges, key=key)))
-
-
-def full_dot_lines(alphabet: Alphabet, order: int, name: str = "debruijn"):
-    """The lines of to_dot for the full graph B(alphabet, order), one at a
-    time and with no graph: product() yields the nodes and the edges in
-    alphabet order, the order to_dot sorts them into.  The order is checked
-    here, before the first line."""
-    check_order(alphabet, order)
-    nodes = map("".join, product(alphabet.symbols, repeat=order - 1))
-    edges = map("".join, product(alphabet.symbols, repeat=order))
-    return _dot_lines(name, nodes, edges)
 
 
 # The ternary cube-residue alphabet and the three named edge-set fixtures
@@ -351,11 +353,3 @@ FIXTURE_EDGES: dict[str, frozenset[str]] = {
     "E2": frozenset(e[::-1] for e in _E1),
 }
 
-
-def fixture_subgraph(name: str) -> DeBruijnGraph:
-    """One of the named ternary subgraphs E0, E1 or E2."""
-    try:
-        edges = FIXTURE_EDGES[name]
-    except KeyError:
-        raise ValueError(f"unknown fixture {name!r}; choose from {sorted(FIXTURE_EDGES)}") from None
-    return DeBruijnGraph(TERNARY_ALPHABET, 3, edges)

@@ -14,6 +14,22 @@ def build_graph(alphabet, order) -> DeBruijnGraph:
     return DeBruijnGraph(alphabet, order, frozenset(map("".join, product(alphabet.symbols, repeat=order))))
 
 
+def alphabet_key(symbols):
+    """Alphabet order on grams, written with plain rank lists."""
+    rank = {s: i for i, s in enumerate(symbols)}
+    return lambda gram: [rank[c] for c in gram]
+
+
+def to_dot(graph: DeBruijnGraph, name: str = "debruijn") -> str:
+    """DOT digraph text with gram-labelled nodes, then edges, each sorted in
+    alphabet order.  The program writes it from product() walks with no
+    sort (dot_lines); the tests compare the two."""
+    key = alphabet_key(graph.alphabet.symbols)
+    nodes = [f'  "{v}" [label="{v}"];\n' for v in sorted(graph.nodes, key=key)]
+    edges = [f'  "{e[:-1]}" -> "{e[1:]}" [label="{e}"];\n' for e in sorted(graph.edges, key=key)]
+    return "".join([f'digraph "{name}" {{\n', *nodes, *edges, "}\n"])
+
+
 def cyclic_windows(seq: str, length: int) -> list[str]:
     """All len(seq) windows of the given length, read cyclically in order:
     window i starts at symbol i and wraps around the end."""

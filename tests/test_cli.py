@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from cubegraph import cli, debruijn, residues, search
 
-from oracles import build_graph
+from oracles import build_graph, to_dot
 
 TERNARY_CYCLE_23 = "00088808881118100010110"
 
@@ -53,12 +54,20 @@ def test_graph_to_file_ternary(capsys, tmp_path):
     assert text.count("->") == 27
 
 
-def test_graph_subgraph_fixture(capsys, tmp_path):
+@pytest.mark.parametrize("name,nodes,edges", [("E0", 6, 6), ("E1", 6, 12), ("E2", 6, 12)])
+def test_graph_subgraph_fixture(capsys, tmp_path, name, nodes, edges):
     dot = tmp_path / "g1.dot"
-    code, out, _ = run(capsys, "graph", "--subgraph", "E1", "--dot", str(dot))
+    code, out, _ = run(capsys, "graph", "--subgraph", name, "--dot", str(dot))
     assert code == 0
-    assert "6 nodes, 12 edges" in out
-    assert dot.read_text().count("->") == 12
+    assert f"{nodes} nodes, {edges} edges" in out
+    assert dot.read_text().count("->") == edges
+
+
+def test_graph_bad_order_creates_no_dot_file(capsys, tmp_path):
+    dot = tmp_path / "g.dot"
+    assert run(capsys, "graph", "--order", "1", "--dot", str(dot)) == \
+        (2, "", "error: order must be >= 2, got 1\n")
+    assert not dot.exists()
 
 
 # SHA-256 of the DOT text each invocation prints; alphabet 10 checks that
@@ -76,10 +85,24 @@ def test_graph_stdout_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.json"
+
+
+def test_benchmark_oracle_replays_in_process(capsys):
+    # every fixed invocation of the benchmark, with the exit code and stdout
+    # SHA-256 its correctness check expects
+    oracle = json.loads(ORACLE.read_text(encoding="utf-8"))
+    assert oracle
+    for command, want in oracle.items():
+        code, out, _ = run(capsys, *command.split())
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == \
+            (want["code"], want["sha256"]), command
+
+
 @pytest.mark.parametrize("symbols,order", [("01", 8), ("10", 5), ("810", 3), ("ba", 4), ("0", 2)])
 def test_full_graph_dot_builds_no_graph(capsys, monkeypatch, tmp_path, symbols, order):
-    want = debruijn.to_dot(build_graph(debruijn.Alphabet.from_string(symbols), order),
-                           name=f"debruijn_{symbols}_{order}")
+    want = to_dot(build_graph(debruijn.Alphabet.from_string(symbols), order),
+                  name=f"debruijn_{symbols}_{order}")
 
     def forbidden(*args):
         raise AssertionError("a full graph's DOT needs no graph")
@@ -118,7 +141,7 @@ def test_graph_writes_stdout_in_chunks():
     assert code == 0 and len(text) > 3 * cli._Out.CHUNK
     assert writes <= len(text.encode("utf-8")) // cli._Out.CHUNK + 2
     alphabet = debruijn.Alphabet.from_string("01")
-    assert text == debruijn.to_dot(build_graph(alphabet, 12), name="debruijn_01_12")
+    assert text == to_dot(build_graph(alphabet, 12), name="debruijn_01_12")
 
 
 def test_graph_unknown_fixture_is_usage_error(capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -16,15 +17,13 @@ from cubegraph.debruijn import (
     circuit_to_sequence,
     coverage,
     debruijn_sequence,
+    dot_lines,
     eulerian_circuit,
     eulerian_status,
-    fixture_subgraph,
-    full_dot_lines,
-    to_dot,
 )
 from cubegraph.residues import decompose
 
-from oracles import build_graph, cyclic_windows, validate_cycle
+from oracles import alphabet_key, build_graph, cyclic_windows, to_dot, validate_cycle
 
 # hand-constructed ternary cycle claims; both are shorter than the 27
 # windows a full cover needs, so the validator must quantify the gaps
@@ -32,6 +31,10 @@ TERNARY_CYCLE_23 = "00088808881118100010110"
 HALF_CYCLE_CLAIMS = {"E1": "0111818880800018180801", "E2": "8111010008088818101081"}
 
 BINARY = Alphabet.from_string("01")
+
+
+def fixture(name):
+    return DeBruijnGraph(TERNARY_ALPHABET, 3, FIXTURE_EDGES[name])
 
 
 def oracle_windows(text, n):
@@ -82,7 +85,7 @@ def test_check_gram_names_every_bad_symbol():
 def test_alphabet_equality_and_hash_see_the_symbols_only():
     a, b = Alphabet(("0", "1")), Alphabet.from_string("01")
     assert a == b and hash(a) == hash(b)
-    assert a is not b and a.sort_key("10") == b.sort_key("10")
+    assert a is not b
     assert {a: 1}[b] == 1
     assert Alphabet.from_string("10") != a
     assert len(Alphabet.from_string("018")) == 3
@@ -96,11 +99,6 @@ def test_graph_is_immutable():
         graph.order = 4
     with pytest.raises(AttributeError):
         BINARY.symbols = ("1", "0")
-
-
-def test_alphabet_order_defines_sort_key():
-    weird = Alphabet.from_string("820")
-    assert sorted(["02", "28", "80"], key=weird.sort_key) == ["80", "28", "02"]
 
 
 def test_build_graph_binary():
@@ -150,8 +148,8 @@ def test_full_graphs_are_eulerian():
 
 
 def test_fixture_e1_is_eulerian_e0_is_not():
-    assert eulerian_status(fixture_subgraph("E1")).eulerian
-    status = eulerian_status(fixture_subgraph("E0"))
+    assert eulerian_status(fixture("E1")).eulerian
+    status = eulerian_status(fixture("E0"))
     assert not status
     assert status.unbalanced == ()  # three balanced but disconnected 2-cycles
     assert not status.connected
@@ -185,7 +183,7 @@ def test_eulerian_circuit_binary_covers_everything():
 
 
 def test_eulerian_circuit_e1_covers_exactly():
-    circuit = eulerian_circuit(fixture_subgraph("E1"))
+    circuit = eulerian_circuit(fixture("E1"))
     assert Counter(circuit) == Counter(FIXTURE_EDGES["E1"])
 
 
@@ -195,13 +193,13 @@ def test_eulerian_circuit_single_self_loop():
 
 def test_eulerian_circuit_rejects_non_eulerian():
     with pytest.raises(NotEulerianError, match="strongly connected"):
-        eulerian_circuit(fixture_subgraph("E0"))
+        eulerian_circuit(fixture("E0"))
     with pytest.raises(NotEulerianError):
         eulerian_circuit(DeBruijnGraph(BINARY, 2, frozenset()))
 
 
 def test_eulerian_circuit_is_deterministic():
-    g = fixture_subgraph("E1")
+    g = fixture("E1")
     assert eulerian_circuit(g) == eulerian_circuit(g)
     full = build_graph(TERNARY_ALPHABET, 3)
     assert eulerian_circuit(full) == eulerian_circuit(full)
@@ -382,7 +380,7 @@ def test_coverage_matches_the_reference(case):
     else:
         report = validate_cycle(seq, target or build_graph(alphabet, n).edges)
         covered, total, missing, extra, duplicates = coverage(seq, alphabet, n, target)
-        key = alphabet.sort_key
+        key = alphabet_key(alphabet.symbols)
         assert (covered, total) == (len(report.covered), len(report.covered) + len(report.missing))
         assert list(missing) == sorted(report.missing, key=key)
         assert extra == tuple(sorted(report.extra, key=key))
@@ -401,6 +399,8 @@ def test_check_order_caps_the_edge_count():
                             (BINARY, 10 ** 12)]:  # refused before k^n is computed
         with pytest.raises(ValueError, match=message):
             check_order(alphabet, order)
+    with pytest.raises(ValueError, match=message):  # a graph, too, is held to the cap
+        DeBruijnGraph(BINARY, top + 1, frozenset())
 
 
 def test_derived_fixtures_equal_their_literal_edge_sets():
@@ -419,11 +419,6 @@ def test_fixture_partition_of_full_graph():
     assert not e0 & e1 and not e0 & e2
 
 
-def test_fixture_subgraph_unknown_name():
-    with pytest.raises(ValueError, match="unknown fixture"):
-        fixture_subgraph("E3")
-
-
 def test_edges_for_class_matches_decompose():
     # the edges of B(018, 3) whose digit sum is z mod 9 spell decompose(z)
     edges = build_graph(TERNARY_ALPHABET, 3).edges
@@ -439,28 +434,23 @@ def test_to_dot_structure():
     assert dot.startswith('digraph "binary" {')
     assert dot.count("[label=") == 4 + 8
     assert '"00" -> "01" [label="001"];' in dot
+    nodes, edges, lines = dot_lines(BINARY, 3, name="binary")
+    assert (nodes, edges, "".join(lines)) == (4, 8, dot)
 
 
 def test_to_dot_empty_graph():
     dot = to_dot(DeBruijnGraph(BINARY, 2, frozenset()))
-    assert dot.startswith("digraph") and dot.rstrip().endswith("}")
-
-
-@settings(max_examples=60, deadline=None)
-@given(shuffled_full_graphs())
-@example((Alphabet.from_string("10"), 5))
-@example((Alphabet.from_string("0"), 2))
-def test_full_dot_lines_equal_to_dot_of_the_full_graph(case):
-    # product() order is alphabet order, for any order of the symbols
-    alphabet, n = case
-    lines = list(full_dot_lines(alphabet, n, name="g"))
-    assert all(line.count("\n") == 1 and line.endswith("\n") for line in lines)
-    assert "".join(lines) == to_dot(build_graph(alphabet, n), name="g")
+    assert dot == 'digraph "debruijn" {\n}\n'
+    nodes, edges, lines = dot_lines(BINARY, 2, frozenset())
+    assert (nodes, edges, "".join(lines)) == (0, 0, dot)
 
 
 def test_full_dot_lines_check_the_order_before_the_first_line():
-    with pytest.raises(ValueError, match="order must be >= 2"):
-        full_dot_lines(BINARY, 1)
+    for edges in (None, frozenset()):
+        with pytest.raises(ValueError, match="order must be >= 2"):
+            dot_lines(BINARY, 1, edges)
+        with pytest.raises(ValueError, match="is too large"):
+            dot_lines(BINARY, MAX_DEBRUIJN_EDGES.bit_length(), edges)
 
 
 @given(alphabets, st.integers(2, 4))
@@ -503,12 +493,6 @@ def test_circuit_round_trip(alphabet, n):
     circuit = eulerian_circuit(build_graph(alphabet, n))
     wins = cyclic_windows(circuit_to_sequence(circuit), n)
     assert wins == circuit[n - 1:] + circuit[:n - 1]
-
-
-def alphabet_key(symbols):
-    """Alphabet order on grams, written with plain rank lists."""
-    rank = {s: i for i, s in enumerate(symbols)}
-    return lambda gram: [rank[c] for c in gram]
 
 
 def naive_status(symbols, edges):
@@ -587,7 +571,44 @@ def test_eulerian_layer_matches_naive_reference(case):
     assert status.eulerian == (not unbalanced and connected)
     assert status.eulerian or dropped
     if status.eulerian and edges:
-        assert eulerian_circuit(graph) == naive_circuit(symbols, edges)
+        circuit = naive_circuit(symbols, edges)
+        assert eulerian_circuit(graph) == circuit
+        assert debruijn_sequence(graph.alphabet, n, edges) == "".join(e[-1] for e in circuit)
     else:
         with pytest.raises(NotEulerianError):
             eulerian_circuit(graph)
+        with pytest.raises(NotEulerianError):
+            debruijn_sequence(graph.alphabet, n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(shuffled_full_graphs().map(lambda case: (*case, None)),
+                 rank_sum_subgraphs().map(lambda case: (Alphabet(case[0]), case[1], case[2])),
+                 st.sampled_from(sorted(FIXTURE_EDGES)).map(
+                     lambda name: (TERNARY_ALPHABET, 3, FIXTURE_EDGES[name]))))
+@example((Alphabet.from_string("10"), 5, None))
+@example((Alphabet.from_string("0"), 2, None))
+@example((TERNARY_ALPHABET, 3, FIXTURE_EDGES["E0"]))
+@example((Alphabet.from_string("810"), 2, frozenset({"08", "80", "11"})))
+def test_dot_lines_equal_the_reference(case):
+    # one product() walk gives alphabet order for any order of the symbols,
+    # for the full graph and for an edge subset alike
+    alphabet, n, edges = case
+    graph = build_graph(alphabet, n) if edges is None else DeBruijnGraph(alphabet, n, edges)
+    nodes, edge_count, lines = dot_lines(alphabet, n, edges, name="g")
+    lines = list(lines)
+    assert all(line.count("\n") == 1 and line.endswith("\n") for line in lines)
+    assert "".join(lines) == to_dot(graph, name="g")
+    assert (nodes, edge_count) == (len(graph.nodes), len(graph.edges))
+
+
+def test_debruijn_sequence_peak_memory_per_symbol():
+    # the joined str is rotated, not the list of symbol indices: a rotated
+    # list and its two slices took about 25 bytes per symbol
+    tracemalloc.start()
+    try:
+        seq = debruijn_sequence(BINARY, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 21 * len(seq)

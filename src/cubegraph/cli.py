@@ -118,7 +118,7 @@ def cmd_cycle(args, out: _Out) -> int:
     try:  # an edge subset may not be Eulerian
         seq = debruijn.debruijn_sequence(*_graph(args.alphabet, args.order, args.subgraph))
     except debruijn.NotEulerianError as err:
-        out.write(f"no Eulerian circuit: {err.status.describe()}\n")
+        out.write(f"no Eulerian circuit: {err}\n")
         return EXIT_INVALID
     out.write(f"sequence: {seq}\nlength: {len(seq)}\n")
     return EXIT_OK

@@ -8,13 +8,14 @@ All tie-breaking is lexicographic in alphabet order, so circuits and
 sequences are reproducible byte-for-byte.  There is one gram order, that of
 itertools.product over the symbols (grams): a subgraph's nodes and edges
 are put in order by filtering that walk, never by a sort, so every out-list
-of the Eulerian code comes out in walk order, and the first tail node is
-where Hierholzer starts.
+of the Hierholzer walk comes out in walk order, and the first tail node is
+where the walk starts.
 
 A full De Bruijn sequence needs no graph: debruijn_sequence concatenates
 Lyndon words (the Fredricksen-Kessler-Maiorana construction) in constant
 amortised time per symbol.  Hierholzer's algorithm on an explicit graph
-walks an edge subset, which may not be Eulerian at all.  A claim is
+walks an edge subset, which may not be Eulerian at all: the walk itself
+decides that, with no separate connectivity search.  A claim is
 validated with no graph and no window strings (coverage): one pass marks
 each window's base-k index in a k^n-byte table, and grams names only the
 missing, extra and repeated ones.  The DOT text, too, comes line by line
@@ -25,13 +26,15 @@ A cyclic sequence is a plain non-empty str: its windows wrap around the
 end, and every rotation names the same cycle.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import chain, compress, cycle, islice, product
 
 
 class Alphabet(namedtuple("Alphabet", "symbols")):
     """Ordered distinct single-character symbols; order defines tie-breaking.
-    Equality and hashing see the symbols only, and len() counts them."""
+    Equality and hashing see the symbols only, and len() counts them.  A
+    symbol is printable and is not whitespace, '"' or '\\', so grams can be
+    written between DOT's double quotes and separated by spaces."""
 
     __slots__ = ()
 
@@ -40,6 +43,10 @@ class Alphabet(namedtuple("Alphabet", "symbols")):
             raise ValueError("alphabet must be non-empty")
         if any(len(s) != 1 for s in symbols):
             raise ValueError(f"symbols must be single characters: {symbols!r}")
+        bad = [s for s in symbols if s.isspace() or not s.isprintable() or s in '"\\']
+        if bad:
+            raise ValueError("symbols may not be whitespace, unprintable, a double quote "
+                             f"or a backslash: {bad!r}")
         if len(set(symbols)) != len(symbols):
             raise ValueError(f"duplicate symbols: {symbols!r}")
         return super().__new__(cls, symbols)
@@ -110,94 +117,30 @@ def grams(alphabet: Alphabet, n: int):
     return map("".join, product(alphabet.symbols, repeat=n))
 
 
-class EulerianStatus(namedtuple("EulerianStatus", "eulerian unbalanced connected empty")):
-    """Outcome of the directed Eulerian-circuit test with diagnostics:
-    `unbalanced` names the nodes with in-degree != out-degree, `connected`
-    says the active nodes form one strongly connected piece, and `empty`
-    that there are no edges at all (eulerian by convention)."""
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.eulerian
-
-    def describe(self) -> str:
-        if self.eulerian:
-            return "empty edge set (eulerian by convention)" if self.empty else "eulerian"
-        parts = []
-        if self.unbalanced:
-            parts.append(f"unbalanced nodes: {', '.join(self.unbalanced)}")
-        if not self.connected:
-            parts.append("active nodes are not strongly connected")
-        return "; ".join(parts)
-
-
-_PREFIX, _SUFFIX = slice(None, -1), slice(1, None)  # an edge's tail and head node
-
-
-def _incidence(graph: DeBruijnGraph) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-    """Out-edges by tail node and in-edges by head node, both in alphabet
-    order; the tail nodes, too, come out in alphabet order."""
-    out: dict[str, list[str]] = {}
-    into: dict[str, list[str]] = {}
-    for e in filter(graph.edges.__contains__, grams(graph.alphabet, graph.order)):
-        out.setdefault(e[:-1], []).append(e)
-        into.setdefault(e[1:], []).append(e)
-    return out, into
-
-
-def eulerian_status(graph: DeBruijnGraph) -> EulerianStatus:
-    """Directed Eulerian circuit test: balanced degrees plus one strongly
-    connected component over the nodes that carry edges."""
-    return _status(graph, *_incidence(graph))
-
-
-def _status(graph: DeBruijnGraph, out: dict, into: dict) -> EulerianStatus:
-    if not graph.edges:
-        return EulerianStatus(True, (), True, True)
-    active = out.keys() | into.keys()
-    unbalanced = {n for n in active if len(out.get(n, ())) != len(into.get(n, ()))}
-    # put in alphabet order by a walk over every node, but only when there is any
-    unbalanced = tuple(filter(unbalanced.__contains__, grams(graph.alphabet, graph.order - 1))) \
-        if unbalanced else ()
-    start = next(iter(out))  # strong connectivity holds from every active node or from none
-    connected = _reachable(start, out, _SUFFIX) >= active and \
-        _reachable(start, into, _PREFIX) >= active
-    return EulerianStatus(not unbalanced and connected, unbalanced, connected, False)
-
-
-def _reachable(start: str, incident: dict, step: slice) -> set[str]:
-    """Nodes reached from start, moving along each incident edge to e[step]."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for e in incident.get(stack.pop(), ()):
-            v = e[step]
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
 class NotEulerianError(ValueError):
-    def __init__(self, status: EulerianStatus, detail: str = ""):
-        self.status = status
-        super().__init__(detail or f"graph has no Eulerian circuit: {status.describe()}")
+    """An edge set with no Eulerian circuit."""
 
 
 def eulerian_circuit(graph: DeBruijnGraph) -> list[str]:
     """Deterministic Hierholzer circuit: ordered edge list using every edge
     exactly once, chaining suffix to prefix and closing back on itself.
 
-    Starts at the lexicographically smallest active node and always takes
-    the smallest unused outgoing edge (both in alphabet order).
+    Starts at the first active node and always takes the smallest unused
+    outgoing edge (both in alphabet order).  Raises NotEulerianError for no
+    edges, then for unbalanced nodes, named in alphabet order.  Once every
+    node is balanced, the walk decides: it comes back with every edge
+    exactly when the active nodes are strongly connected.
     """
-    adj, into = _incidence(graph)
-    status = _status(graph, adj, into)
-    if not status:
-        raise NotEulerianError(status)
     if not graph.edges:
-        raise NotEulerianError(status, "graph has no edges to traverse")
+        raise NotEulerianError("graph has no edges to traverse")
+    adj: dict[str, list[str]] = {}  # out-edges by tail node, both in alphabet order
+    for e in filter(graph.edges.__contains__, grams(graph.alphabet, graph.order)):
+        adj.setdefault(e[:-1], []).append(e)
+    in_degree = Counter(e[1:] for e in graph.edges)
+    unbalanced = {n for n in adj.keys() | in_degree.keys() if len(adj.get(n, ())) != in_degree[n]}
+    if unbalanced:  # put in alphabet order by a walk over every node
+        nodes = filter(unbalanced.__contains__, grams(graph.alphabet, graph.order - 1))
+        raise NotEulerianError(f"unbalanced nodes: {', '.join(nodes)}")
 
     # one iterator of unused out-edges per node; the graph is balanced, so
     # every node the walk reaches has one
@@ -212,6 +155,8 @@ def eulerian_circuit(graph: DeBruijnGraph) -> list[str]:
             trail.append(stack.pop())
         else:
             stack.append(edge)
+    if len(trail) < len(graph.edges):  # the start node's component is not all
+        raise NotEulerianError("active nodes are not strongly connected")
     trail.reverse()
     return trail
 

@@ -77,10 +77,6 @@ class ResidueTriple(namedtuple("ResidueTriple", "residues")):
     def of(cls, a: int, b: int, c: int) -> "ResidueTriple":
         return cls(tuple(sorted((a, b, c))))
 
-    @property
-    def class_sum(self) -> int:
-        return sum(self.residues) % 9
-
     def spell(self) -> str:
         """Render as a sum, e.g. '8+8+8' or '0+1+1'."""
         return _spell_terms(self.residues)

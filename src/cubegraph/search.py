@@ -83,9 +83,6 @@ class Representation(namedtuple("Representation", "x y z k path")):
         path = label_solution(x, y, z, k)  # checks the cube identity
         return super().__new__(cls, x, y, z, k, path)
 
-    def triple(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.z)
-
 
 def verify(x: int, y: int, z: int, k: int) -> Representation:
     """Check x^3 + y^3 + z^3 = k at arbitrary precision and attach the

@@ -70,6 +70,25 @@ def test_graph_bad_order_creates_no_dot_file(capsys, tmp_path):
     assert not dot.exists()
 
 
+SYMBOL_RULE = "error: symbols may not be whitespace, unprintable, a double quote or a backslash: "
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (("graph", "--alphabet", '"a', "--order", "2"), '"'),  # DOT quotes each gram with it
+    (("validate", " ", "--alphabet", " 0", "--order", "2"), " "),  # it separates grams
+    (("cycle", "--alphabet", "0\t1"), "\t"),
+])
+def test_symbols_that_output_cannot_carry_are_usage_errors(capsys, argv, bad):
+    assert run(capsys, *argv) == (2, "", f"{SYMBOL_RULE}[{bad!r}]\n")
+
+
+def test_graph_bad_symbol_creates_no_dot_file(capsys, tmp_path):
+    dot = tmp_path / "F"
+    assert run(capsys, "graph", "--alphabet", "\\0", "--dot", str(dot)) == \
+        (2, "", SYMBOL_RULE + "['\\\\']\n")
+    assert not dot.exists()
+
+
 # SHA-256 of the DOT text each invocation prints; alphabet 10 checks that
 # nodes and edges are listed in alphabet order, not code-point order
 @pytest.mark.parametrize("argv,digest", [
@@ -85,7 +104,8 @@ def test_graph_stdout_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ORACLE = PERFBENCH / "oracle.json"
 
 
 def test_benchmark_oracle_replays_in_process(capsys):
@@ -97,6 +117,25 @@ def test_benchmark_oracle_replays_in_process(capsys):
         code, out, _ = run(capsys, *command.split())
         assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == \
             (want["code"], want["sha256"]), command
+
+
+def test_benchmark_traced_pass_runs_at_smoke_size(monkeypatch, tmp_path):
+    # the in-process pass of `perfbench/run.py --trace 1`, which wraps the
+    # package's public functions and reads their results, on every workload
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+    import tracing
+    import workloads
+
+    oracle = workloads.load_oracle()
+    for wl in workloads.workloads(smoke=True).values():
+        rows = path = None
+        if wl.corpus_rows:
+            rows = corpus.generate(3, wl.corpus_rows)
+            path = tmp_path / "corpus.csv"
+            path.write_text(rows.text, encoding="utf-8")
+        _, _, attempted, failures, _ = tracing.traced_run(wl, oracle, path, rows)
+        assert (attempted, failures) == (len(wl.steps) + bool(wl.sub_order), []), wl.name
 
 
 @pytest.mark.parametrize("symbols,order", [("01", 8), ("10", 5), ("810", 3), ("ba", 4), ("0", 2)])

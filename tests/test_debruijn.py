@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -19,7 +20,6 @@ from cubegraph.debruijn import (
     debruijn_sequence,
     dot_lines,
     eulerian_circuit,
-    eulerian_status,
 )
 from cubegraph.residues import decompose
 
@@ -72,6 +72,14 @@ def test_alphabet_validation():
         Alphabet.from_string("001")
     with pytest.raises(ValueError):
         Alphabet(("ab",))
+
+
+@pytest.mark.parametrize("bad", [" ", "\t", "\n", "\x00", "\x7f", "\u3000", "\u200b", '"', "\\"])
+def test_alphabet_refuses_symbols_that_output_cannot_carry(bad):
+    # DOT writes a gram between double quotes, validate separates grams by spaces
+    with pytest.raises(ValueError, match=f"or a backslash: \\[{re.escape(repr(bad))}\\]$"):
+        Alphabet(("0", bad, "1"))
+    assert Alphabet.from_string("'-\u00e9").symbols == ("'", "-", "\u00e9")
 
 
 def test_check_gram_names_every_bad_symbol():
@@ -143,34 +151,28 @@ def test_graph_edge_errors_name_the_bad_edge():
 
 
 def test_full_graphs_are_eulerian():
-    assert eulerian_status(build_graph(TERNARY_ALPHABET, 3)).eulerian
-    assert eulerian_status(build_graph(BINARY, 4)).eulerian
+    for g in (build_graph(TERNARY_ALPHABET, 3), build_graph(BINARY, 4)):
+        circuit = eulerian_circuit(g)
+        assert len(circuit) == len(g.edges) and set(circuit) == g.edges
 
 
 def test_fixture_e1_is_eulerian_e0_is_not():
-    assert eulerian_status(fixture("E1")).eulerian
-    status = eulerian_status(fixture("E0"))
-    assert not status
-    assert status.unbalanced == ()  # three balanced but disconnected 2-cycles
-    assert not status.connected
+    assert Counter(eulerian_circuit(fixture("E1"))) == Counter(FIXTURE_EDGES["E1"])
+    # three balanced but disconnected 2-cycles: the walk comes back with one
+    with pytest.raises(NotEulerianError, match="^active nodes are not strongly connected$"):
+        eulerian_circuit(fixture("E0"))
 
 
 def test_unbalanced_diagnostic():
     g = build_graph(BINARY, 2)
-    status = eulerian_status(DeBruijnGraph(g.alphabet, g.order, g.edges - {"01"}))
-    assert not status
-    assert "0" in status.unbalanced and "1" in status.unbalanced
+    with pytest.raises(NotEulerianError, match="^unbalanced nodes: 0, 1$"):
+        eulerian_circuit(DeBruijnGraph(g.alphabet, g.order, g.edges - {"01"}))
 
 
 def test_unbalanced_nodes_listed_in_alphabet_order():
     g = build_graph(Alphabet.from_string("10"), 2)
-    assert eulerian_status(DeBruijnGraph(g.alphabet, g.order, g.edges - {"01"})).unbalanced == ("1", "0")
-
-
-def test_empty_edge_set_is_eulerian_by_convention():
-    status = eulerian_status(DeBruijnGraph(BINARY, 2, frozenset()))
-    assert status
-    assert status.empty
+    with pytest.raises(NotEulerianError, match="^unbalanced nodes: 1, 0$"):
+        eulerian_circuit(DeBruijnGraph(g.alphabet, g.order, g.edges - {"01"}))
 
 
 def test_eulerian_circuit_binary_covers_everything():
@@ -192,9 +194,9 @@ def test_eulerian_circuit_single_self_loop():
 
 
 def test_eulerian_circuit_rejects_non_eulerian():
-    with pytest.raises(NotEulerianError, match="strongly connected"):
+    with pytest.raises(NotEulerianError, match="^active nodes are not strongly connected$"):
         eulerian_circuit(fixture("E0"))
-    with pytest.raises(NotEulerianError):
+    with pytest.raises(NotEulerianError, match="^graph has no edges to traverse$"):
         eulerian_circuit(DeBruijnGraph(BINARY, 2, frozenset()))
 
 
@@ -462,7 +464,7 @@ def test_full_graph_counts_and_degrees(alphabet, n):
     out_deg = Counter(e[:-1] for e in g.edges)
     in_deg = Counter(e[1:] for e in g.edges)
     assert all(out_deg[v] == k and in_deg[v] == k for v in g.nodes)
-    assert eulerian_status(g).eulerian
+    assert len(eulerian_circuit(g)) == len(g.edges)
 
 
 @settings(max_examples=30, deadline=None)
@@ -562,23 +564,32 @@ def rank_sum_subgraphs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(rank_sum_subgraphs())
+@example((tuple("018"), 3, FIXTURE_EDGES["E0"], True))  # balanced, three separate 2-cycles
+@example((tuple("810"), 2, frozenset({"00", "01", "88"}), True))  # unbalanced and disconnected
 def test_eulerian_layer_matches_naive_reference(case):
+    # the walk raises exactly where the reference finds no circuit, naming
+    # the unbalanced nodes first and the connectivity only when all balance
     symbols, n, edges, dropped = case
     graph = DeBruijnGraph(Alphabet(symbols), n, edges)
     unbalanced, connected = naive_status(symbols, edges)
-    status = eulerian_status(graph)
-    assert (status.unbalanced, status.connected, status.empty) == (unbalanced, connected, not edges)
-    assert status.eulerian == (not unbalanced and connected)
-    assert status.eulerian or dropped
-    if status.eulerian and edges:
+    if not edges:
+        message = "graph has no edges to traverse"
+    elif unbalanced:
+        message = f"unbalanced nodes: {', '.join(unbalanced)}"
+    elif not connected:
+        message = "active nodes are not strongly connected"
+    else:
         circuit = naive_circuit(symbols, edges)
         assert eulerian_circuit(graph) == circuit
         assert debruijn_sequence(graph.alphabet, n, edges) == "".join(e[-1] for e in circuit)
-    else:
-        with pytest.raises(NotEulerianError):
-            eulerian_circuit(graph)
-        with pytest.raises(NotEulerianError):
-            debruijn_sequence(graph.alphabet, n, edges)
+        return
+    assert dropped
+    with pytest.raises(NotEulerianError) as raised:
+        eulerian_circuit(graph)
+    assert str(raised.value) == message
+    with pytest.raises(NotEulerianError) as raised:
+        debruijn_sequence(graph.alphabet, n, edges)
+    assert str(raised.value) == message
 
 
 @settings(max_examples=100, deadline=None)

@@ -92,7 +92,7 @@ def test_decompose_rejects_bad_class():
 def test_decompose_sums_are_consistent():
     for z in range(9):
         for t in decompose(z):
-            assert t.class_sum == z
+            assert sum(t.residues) % 9 == z
 
 
 def test_signed_spellings_examples():

@@ -41,7 +41,7 @@ def oracle_search(k, bound):
 
 
 def found_triples(result):
-    return [rep.triple() for rep in result.representations]
+    return [(rep.x, rep.y, rep.z) for rep in result.representations]
 
 
 def test_search_matches_oracle_small_sweep():
@@ -96,13 +96,14 @@ def test_every_emitted_representation_is_exact_and_canonical():
 
 def test_verify_paper_scale_solution():
     rep = verify(-265, -262, 332, 15)
-    assert rep.triple() == (-265, -262, 332)
+    assert (rep.x, rep.y, rep.z) == (-265, -262, 332)
     assert rep.path.residues == (8, 8, 8)
     assert class_of(rep.k) == 6
 
 
 def test_verify_canonicalizes_argument_order():
-    assert verify(332, -265, -262, 15).triple() == (-265, -262, 332)
+    rep = verify(332, -265, -262, 15)
+    assert (rep.x, rep.y, rep.z) == (-265, -262, 332)
 
 
 def test_verify_zero():

@@ -67,7 +67,7 @@ def _write_csv(out: _Out, path, results: list[search.SearchResult]):
     def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        writer.writerows([rep.k, rep.x, rep.y, rep.z, residues.class_of(rep.k), rep.path.spell()]
+        writer.writerows([rep.k, rep.x, rep.y, rep.z, residues.class_of(rep.k), rep.path]
                          for res in results for rep in res.representations)
 
     if path:
@@ -80,14 +80,14 @@ def _write_csv(out: _Out, path, results: list[search.SearchResult]):
 
 def cmd_classes(args, out: _Out) -> int:
     for z in range(9):
-        triples = sorted(residues.decompose(z))
+        triples = residues.decompose(z)
         if not triples:
             out.write(f"class {z}: infeasible (no residue triple sums to {z} mod 9)\n")
             continue
         for i, t in enumerate(triples):
-            spellings = " | ".join(s.spell() for s in sorted(residues.signed_spellings(t)))
+            spellings = " | ".join(map(residues.spell, residues.signed_spellings(t)))
             prefix = f"class {z}:" if i == 0 else "        "
-            out.write(f"{prefix} {t.spell()}  [{spellings}]\n")
+            out.write(f"{prefix} {residues.spell(t)}  [{spellings}]\n")
     return EXIT_OK
 
 
@@ -237,7 +237,7 @@ def cmd_verify_corpus(args, out: _Out) -> int:
                 signed = residues.signed_spelling_for(x, y, z)
                 out.write(f"line {i}: k={k} ({x},{y},{z}) OK "
                           f"class={residues.class_of(k)} "
-                          f"path={path.spell()} signed={signed.spell()}\n")
+                          f"path={path} signed={signed}\n")
     except csv.Error as err:  # e.g. a field over csv.field_size_limit()
         out.write(f"{args.corpus}: line {reader.line_num}: {err}\n")
         return EXIT_USAGE

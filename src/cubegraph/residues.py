@@ -3,13 +3,13 @@
 Every integer cube is congruent to 0, 1 or 8 mod 9, so a sum of three
 cubes can only land in residue classes reachable by three values from
 {0, 1, 8}.  Classes 4 and 5 are unreachable, which rules out
-x^3 + y^3 + z^3 = k for any k in those classes.  Everything here is a
-pure function on plain ints; negative inputs use mathematical modulus
-(results always in 0..8).
+x^3 + y^3 + z^3 = k for any k in those classes.  Negative inputs use
+mathematical modulus (results always in 0..8).  Residue triples are sorted
+tuples of ints.  A solution's label is the string that is printed, such as
+'8+8+8' for its residue triple and '-1-1+8' for its signed spelling: two
+tables built at import map the terms' residues to every label there is.
 """
 
-from collections import namedtuple
-from functools import cache
 from itertools import combinations_with_replacement, product
 
 CUBIC_RESIDUES = frozenset({0, 1, 8})
@@ -51,109 +51,58 @@ def class_of(k: int) -> int:
 _CUBE_RESIDUE = tuple(r ** 3 % 9 for r in range(9))  # n^3 mod 9 depends on n mod 9 only
 
 
-def cube_residue(n: int) -> int:
-    """Residue of n^3 mod 9; always one of {0, 1, 8}."""
-    return _CUBE_RESIDUE[n % 9]
-
-
 def is_feasible(k: int) -> bool:
     """False exactly when k is in class 4 or 5 (no sum of three cubes exists)."""
     return class_of(k) not in INFEASIBLE_CLASSES
 
 
-class ResidueTriple(namedtuple("ResidueTriple", "residues")):
-    """Unordered multiset of three cubic residues, stored sorted ascending."""
-
-    __slots__ = ()
-
-    def __new__(cls, residues: tuple[int, int, int]):
-        if len(residues) != 3 or any(r not in CUBIC_RESIDUES for r in residues):
-            raise ValueError(f"need three values from {{0,1,8}}, got {residues!r}")
-        if tuple(sorted(residues)) != residues:
-            raise ValueError(f"residues must be sorted ascending: {residues!r}")
-        return super().__new__(cls, residues)
-
-    @classmethod
-    def of(cls, a: int, b: int, c: int) -> "ResidueTriple":
-        return cls(tuple(sorted((a, b, c))))
-
-    def spell(self) -> str:
-        """Render as a sum, e.g. '8+8+8' or '0+1+1'."""
-        return _spell_terms(self.residues)
+def spell(terms) -> str:
+    """A sum of residue terms as printed, e.g. '8+8+8', '0+1+1' or '-1-1+8'."""
+    return "".join(f"{t:+d}" for t in terms).removeprefix("+")
 
 
-class SignedSpelling(namedtuple("SignedSpelling", "entries")):
-    """A residue triple with each 8 optionally written as its symmetric
-    representative -1.  Entries are sorted ascending (-1 < 0 < 1 < 8)."""
-
-    __slots__ = ()
-
-    def __new__(cls, entries: tuple[int, int, int]):
-        if len(entries) != 3 or any(e not in (-1, 0, 1, 8) for e in entries):
-            raise ValueError(f"entries must be from {{-1,0,1,8}}, got {entries!r}")
-        if tuple(sorted(entries)) != entries:
-            raise ValueError(f"entries must be sorted ascending: {entries!r}")
-        return super().__new__(cls, entries)
-
-    @classmethod
-    def of(cls, a: int, b: int, c: int) -> "SignedSpelling":
-        return cls(tuple(sorted((a, b, c))))
-
-    def spell(self) -> str:
-        """Render as a signed sum, e.g. '-1-1+8'."""
-        return _spell_terms(self.entries)
-
-
-@cache  # only a few dozen distinct spellings exist
-def _spell_terms(terms) -> str:
-    out = str(terms[0])
-    for t in terms[1:]:
-        out += f"+{t}" if t >= 0 else str(t)
-    return out
-
-
-def decompose(residue_class: int) -> frozenset[ResidueTriple]:
-    """All multisets of three cubic residues summing to residue_class mod 9.
+def decompose(residue_class: int) -> list[tuple[int, int, int]]:
+    """All multisets of three cubic residues summing to residue_class mod 9,
+    each a sorted tuple, in ascending order.
 
     Exhaustive over the ten possible multisets; empty exactly for
-    classes 4 and 5.  The result is an immutable frozenset: callers
-    iterate it or sort it.
+    classes 4 and 5.
     """
     if not 0 <= residue_class <= 8:
         raise ValueError(f"residue class must be in 0..8, got {residue_class}")
-    return frozenset(
-        ResidueTriple(t)
-        for t in combinations_with_replacement((0, 1, 8), 3)
-        if sum(t) % 9 == residue_class
-    )
+    return [t for t in combinations_with_replacement(sorted(CUBIC_RESIDUES), 3)
+            if sum(t) % 9 == residue_class]
 
 
-def signed_spellings(triple: ResidueTriple) -> frozenset[SignedSpelling]:
-    """Every distinct spelling of the triple with each 8 written as 8 or -1."""
-    choices = [(r,) if r != 8 else (8, -1) for r in triple.residues]
-    return frozenset(SignedSpelling.of(*c) for c in product(*choices))
+def signed_spellings(triple: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+    """Every distinct spelling of the triple with each 8 written as 8 or -1,
+    each a sorted tuple (-1 < 0 < 1 < 8), in ascending order."""
+    choices = [(r,) if r != 8 else (-1, 8) for r in triple]
+    return sorted({tuple(sorted(c)) for c in product(*choices)})
 
 
-# Every label a solution can get, built once: the residue triple keyed by the
-# terms' residues in term order, the signed spelling keyed by their signed
-# entries.  A term's signed entry is _ENTRY[n < 0][n % 9]: its cube residue,
-# with 8 written -1 when the term is negative.
-_TRIPLE = {t: ResidueTriple.of(*t) for t in product((0, 1, 8), repeat=3)}
-_SPELLING = {e: SignedSpelling.of(*e) for e in product((-1, 0, 1, 8), repeat=3)}
+# Every label a solution can get, built once: the spelled residue triple keyed
+# by the terms' residues in term order, the spelled signed spelling keyed by
+# their signed entries.  A term's signed entry is _ENTRY[n < 0][n % 9]: its
+# cube residue, with 8 written -1 when the term is negative.
+_TRIPLE = {t: spell(sorted(t)) for t in product(sorted(CUBIC_RESIDUES), repeat=3)}
+_SPELLING = {e: spell(sorted(e)) for e in product((-1, 0, 1, 8), repeat=3)}
 _ENTRY = (_CUBE_RESIDUE, tuple(-1 if r == 8 else r for r in _CUBE_RESIDUE))
 
 
-def signed_spelling_for(x: int, y: int, z: int) -> SignedSpelling:
-    """Spelling of a concrete solution: residue 8 is written -1 when the
-    underlying integer is negative (presentation choice, not arithmetic)."""
+def signed_spelling_for(x: int, y: int, z: int) -> str:
+    """Signed spelling of a concrete solution, such as '-1-1+8': residue 8 is
+    written -1 when the underlying integer is negative (presentation choice,
+    not arithmetic)."""
     return _SPELLING[_ENTRY[x < 0][x % 9], _ENTRY[y < 0][y % 9], _ENTRY[z < 0][z % 9]]
 
 
-def label_solution(x: int, y: int, z: int, k: int) -> ResidueTriple:
-    """Residue triple of a claimed solution x^3 + y^3 + z^3 = k.
+def label_solution(x: int, y: int, z: int, k: int) -> str:
+    """Spelled residue triple of a claimed solution x^3 + y^3 + z^3 = k,
+    such as '8+8+8'.
 
     Raises CubeSumMismatch when the cubes do not sum to k (corrupt row).
-    The result is always a member of decompose(class_of(k)).
+    The result is always the spelling of a member of decompose(class_of(k)).
     """
     if x**3 + y**3 + z**3 != k:
         raise CubeSumMismatch(x, y, z, k)

@@ -72,8 +72,10 @@ class SearchBounds(namedtuple("SearchBounds", "bound k_range")):
 class Representation(namedtuple("Representation", "x y z k path")):
     """A verified solution x^3 + y^3 + z^3 = k in canonical order x <= y <= z.
 
-    The residue path is computed from the terms.  It is a function of
-    (x, y, z, k), so it never decides an order or an equality."""
+    The path is the spelled residue triple, such as '8+8+8', from
+    label_solution, which raises CubeSumMismatch when the exact cube sum is
+    not k.  It is a function of (x, y, z, k), so it never decides an order
+    or an equality."""
 
     __slots__ = ()
 
@@ -82,14 +84,6 @@ class Representation(namedtuple("Representation", "x y z k path")):
             raise ValueError(f"not in canonical order: ({x}, {y}, {z})")
         path = label_solution(x, y, z, k)  # checks the cube identity
         return super().__new__(cls, x, y, z, k, path)
-
-
-def verify(x: int, y: int, z: int, k: int) -> Representation:
-    """Check x^3 + y^3 + z^3 = k at arbitrary precision and attach the
-    residue path.  Raises CubeSumMismatch (with the actual sum, and an
-    infeasibility note when k is in class 4 or 5) on failure."""
-    a, b, c = sorted((x, y, z))
-    return Representation(a, b, c, k)
 
 
 class SearchStats(namedtuple("SearchStats", "pairs_scanned z_pruned", defaults=(0, 0))):
@@ -141,7 +135,8 @@ def _sweep(k_lo: int, k_hi: int, B: int) -> tuple[dict[int, list[tuple[int, int,
 
 
 def _verified(k: int, triples: list[tuple[int, int, int]]) -> tuple[Representation, ...]:
-    return tuple(verify(x, y, z, k) for x, y, z in sorted(triples))  # exact recheck of every hit
+    # both kernels emit x <= y <= z; Representation rechecks each hit exactly
+    return tuple(Representation(x, y, z, k) for x, y, z in sorted(triples))
 
 
 def _smallest_prime_factors(n: int) -> list[int]:

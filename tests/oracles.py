@@ -71,3 +71,15 @@ def validate_cycle(sequence: str, target) -> CoverageReport:
     seen = frozenset(windows)
     duplicates = tuple(sorted((g, c) for g, c in Counter(windows).items() if c > 1))
     return CoverageReport(seen & target, target - seen, seen - target, duplicates)
+
+
+def spelled_labels(x: int, y: int, z: int) -> tuple[str, str]:
+    """The (path, signed) labels of the terms, spelled from n**3 % 9 and the
+    sign of n: the arithmetic that residues' lookup tables replace."""
+    path = sorted(n**3 % 9 for n in (x, y, z))
+    signed = sorted(-1 if n < 0 and n**3 % 9 == 8 else n**3 % 9 for n in (x, y, z))
+
+    def spell(terms):
+        return str(terms[0]) + "".join(f"+{t}" if t >= 0 else str(t) for t in terms[1:])
+
+    return spell(path), spell(signed)

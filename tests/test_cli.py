@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cubegraph import cli, debruijn, residues, search
 
-from oracles import build_graph, to_dot
+from oracles import build_graph, spelled_labels, to_dot
 
 TERNARY_CYCLE_23 = "00088808881118100010110"
 
@@ -35,6 +35,24 @@ def test_classes_table(capsys):
     assert "-1-1+8" in out
     line6 = next(line for line in out.splitlines() if line.startswith("class 6"))
     assert line6.count("|") == 3  # four spellings for 8+8+8
+
+
+def test_classes_output_is_pinned(capsys):
+    # spellings come in residue-tuple order (-1 < 0 < 1 < 8), which a sort of
+    # the spelled strings would not keep: it puts '-1+8+8' before '-1-1+8'
+    assert run(capsys, "classes") == (0, (
+        "class 0: 0+0+0  [0+0+0]\n"
+        "         0+1+8  [-1+0+1 | 0+1+8]\n"
+        "class 1: 0+0+1  [0+0+1]\n"
+        "         1+1+8  [-1+1+1 | 1+1+8]\n"
+        "class 2: 0+1+1  [0+1+1]\n"
+        "class 3: 1+1+1  [1+1+1]\n"
+        "class 4: infeasible (no residue triple sums to 4 mod 9)\n"
+        "class 5: infeasible (no residue triple sums to 5 mod 9)\n"
+        "class 6: 8+8+8  [-1-1-1 | -1-1+8 | -1+8+8 | 8+8+8]\n"
+        "class 7: 0+8+8  [-1-1+0 | -1+0+8 | 0+8+8]\n"
+        "class 8: 0+0+8  [-1+0+0 | 0+0+8]\n"
+        "         1+8+8  [-1-1+1 | -1+1+8 | 1+8+8]\n"), "")
 
 
 def test_graph_to_stdout_binary(capsys):
@@ -578,7 +596,6 @@ def test_verify_corpus_builds_no_row_dict_or_representation(capsys, monkeypatch,
         raise AssertionError("verify-corpus labels a row without a dict or a Representation")
 
     monkeypatch.setattr(csv, "DictReader", forbidden)
-    monkeypatch.setattr(search, "verify", forbidden)
     monkeypatch.setattr(search, "Representation", forbidden)
     corpus = tmp_path / "corpus.csv"
     corpus.write_text("z,k,y,x\n332,15,-262,-265\n3,35,2,1\n\n2,1\n3,29,1,1,extra\n")
@@ -594,9 +611,11 @@ def test_verify_corpus_builds_no_row_dict_or_representation(capsys, monkeypatch,
 
 
 def _verify_corpus_with_dict_reader(path):
-    """The row loop `verify-corpus` ran before it read rows as lists: one
-    csv.DictReader dict and one search.Representation per row.  The
-    reference for test_verify_corpus_matches_the_dict_reader_loop."""
+    """The row loop `verify-corpus` ran before it read rows as lists, with
+    one csv.DictReader dict per row, checking the cube sum itself and
+    spelling the labels from the arithmetic (oracles.spelled_labels), not
+    from the tables in residues.  The reference for
+    test_verify_corpus_matches_the_dict_reader_loop."""
     lines = []
     parse_errors = invalid = valid = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -611,18 +630,16 @@ def _verify_corpus_with_dict_reader(path):
                 parse_errors += 1
                 lines.append(f"line {i}: parse error in {raw!r}")
                 continue
-            try:
-                rep = search.verify(x, y, z, k)
-            except residues.CubeSumMismatch as err:
+            total = x**3 + y**3 + z**3
+            if total != k:
                 invalid += 1
                 lines.append(f"line {i}: k={k} ({x},{y},{z}) "
-                             f"INVALID sum={residues.exact_str(err.actual_sum)}")
+                             f"INVALID sum={residues.exact_str(total)}")
                 continue
             valid += 1
-            signed = residues.signed_spelling_for(x, y, z)
+            path, signed = spelled_labels(x, y, z)
             lines.append(f"line {i}: k={k} ({x},{y},{z}) OK "
-                         f"class={residues.class_of(k)} "
-                         f"path={rep.path.spell()} signed={signed.spell()}")
+                         f"class={k % 9} path={path} signed={signed}")
     lines.append(f"{valid} valid, {invalid} invalid, {parse_errors} parse error(s)")
     if parse_errors:
         return 2, "\n".join(lines)
@@ -837,10 +854,10 @@ def test_scan_wider_than_the_cap_is_a_usage_error(capsys, monkeypatch):
 
 
 def test_internal_cube_sum_mismatch_is_not_a_usage_error(monkeypatch):
-    def broken_verify(x, y, z, k):
+    def broken_label(x, y, z, k):
         raise residues.CubeSumMismatch(x, y, z, k + 1)
 
-    monkeypatch.setattr(search, "verify", broken_verify)
+    monkeypatch.setattr(search, "label_solution", broken_label)
     with pytest.raises(residues.CubeSumMismatch):
         cli.main(["search", "29", "--bound", "4"])
 

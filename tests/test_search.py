@@ -20,8 +20,9 @@ from cubegraph.search import (
     SearchStats,
     scan_range,
     search_k,
-    verify,
 )
+
+from oracles import spelled_labels
 
 
 @lru_cache(maxsize=None)
@@ -91,42 +92,44 @@ def test_every_emitted_representation_is_exact_and_canonical():
         for rep in search_k(k, 30).representations:
             assert rep.x**3 + rep.y**3 + rep.z**3 == rep.k == k
             assert rep.x <= rep.y <= rep.z
-            assert rep.path in decompose(class_of(k))
+            assert rep.path == spelled_labels(rep.x, rep.y, rep.z)[0]
+            assert rep.path in {"+".join(map(str, t)) for t in decompose(class_of(k))}
 
 
 def test_verify_paper_scale_solution():
-    rep = verify(-265, -262, 332, 15)
+    rep = Representation(*sorted((-265, -262, 332)), 15)
     assert (rep.x, rep.y, rep.z) == (-265, -262, 332)
-    assert rep.path.residues == (8, 8, 8)
+    assert rep.path == "8+8+8"
     assert class_of(rep.k) == 6
 
 
 def test_verify_canonicalizes_argument_order():
-    rep = verify(332, -265, -262, 15)
+    rep = Representation(*sorted((332, -265, -262)), 15)
     assert (rep.x, rep.y, rep.z) == (-265, -262, 332)
+    assert rep == Representation(-265, -262, 332, 15)
 
 
 def test_verify_zero():
-    assert verify(0, 0, 0, 0).path.residues == (0, 0, 0)
+    assert Representation(0, 0, 0, 0).path == "0+0+0"
 
 
 def test_verify_booker_scale_numbers():
     # 16+ digit terms must verify exactly with plain integers
     x, y, z = 8_866_128_975_287_528, -8_778_405_442_862_239, -2_736_111_468_807_040
-    assert verify(x, y, z, 33).k == 33
+    assert Representation(*sorted((x, y, z)), 33).k == 33
     x, y, z = -80_538_738_812_075_974, 80_435_758_145_817_515, 12_602_123_297_335_631
-    assert verify(x, y, z, 42).k == 42
+    assert Representation(*sorted((x, y, z)), 42).k == 42
 
 
 def test_verify_rejects_mismatch_with_actual_sum():
     with pytest.raises(CubeSumMismatch) as exc:
-        verify(1, 2, 3, 35)
+        Representation(*sorted((1, 2, 3)), 35)
     assert exc.value.actual_sum == 36
 
 
 def test_verify_mismatch_notes_infeasible_class():
     with pytest.raises(CubeSumMismatch, match="class 5"):
-        verify(1, 1, 1, 5)
+        Representation(*sorted((1, 1, 1)), 5)
 
 
 def test_representation_rejects_non_canonical_order():
@@ -136,7 +139,8 @@ def test_representation_rejects_non_canonical_order():
 
 
 def test_representation_computes_its_path():
-    assert Representation(1, 1, 3, 29).path == next(iter(decompose(2)))  # class 2 has one path
+    assert decompose(2) == [(0, 1, 1)]  # class 2 has one path
+    assert Representation(1, 1, 3, 29).path == "0+1+1"
     with pytest.raises(CubeSumMismatch):
         Representation(1, 1, 3, 30)
 
@@ -145,7 +149,7 @@ def test_representation_computes_its_path():
 @given(st.lists(st.tuples(*[st.integers(-4, 4)] * 3), max_size=8))
 def test_representation_order_and_equality_follow_the_terms(triples):
     # the path is a function of (x, y, z, k), so comparing it too moves nothing
-    reps = [verify(x, y, z, x**3 + y**3 + z**3) for x, y, z in triples]
+    reps = [Representation(*sorted(t), sum(n**3 for n in t)) for t in triples]
     key = attrgetter("x", "y", "z", "k")
     assert sorted(reps) == sorted(reps, key=key)
     for a in reps:
@@ -157,7 +161,7 @@ def test_representation_order_and_equality_follow_the_terms(triples):
 
 
 def test_search_values_are_immutable():
-    rep = verify(1, 1, 3, 29)
+    rep = Representation(1, 1, 3, 29)
     with pytest.raises(AttributeError):
         rep.k = 30
     with pytest.raises(AttributeError):
@@ -171,7 +175,7 @@ def test_search_stats_default_to_zero():
     assert SearchStats().pairs_scanned == SearchStats().z_pruned == 0
 
 
-def test_verify_labels_each_hit_once(monkeypatch):
+def test_search_k_labels_each_hit_once(monkeypatch):
     calls = []
 
     def counting_label(*args):
@@ -179,8 +183,9 @@ def test_verify_labels_each_hit_once(monkeypatch):
         return label_solution(*args)
 
     monkeypatch.setattr(search_module, "label_solution", counting_label)
-    assert verify(332, -265, -262, 15).path.residues == (8, 8, 8)
-    assert calls == [(-265, -262, 332, 15)]
+    reps = search_k(29, 4).representations
+    assert calls == [(rep.x, rep.y, rep.z, 29) for rep in reps] == [(-3, -2, 4, 29), (1, 1, 3, 29)]
+    assert [rep.path for rep in reps] == ["0+1+1", "0+1+1"]
 
 
 def test_bounds_validation():

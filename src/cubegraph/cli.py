@@ -8,7 +8,9 @@ so memory does not grow with its size; identical invocations still produce
 bytewise-identical results.  A usage error found before any output leaves
 stdout empty.  One found mid-run, such as a corpus record that is not CSV
 or not UTF-8, keeps every line already produced on stdout, then adds its
-message and exits 2.
+message and exits 2.  verify-corpus decodes its input a line at a time, so
+such an error keeps every row before the bad line, read from a file or a
+pipe alike.
 """
 
 import argparse
@@ -180,32 +182,27 @@ def _row_dict(header: list[str], row: list[str]) -> dict:
     return d
 
 
-def _first_undecodable_line(path) -> tuple[int, UnicodeDecodeError] | None:
-    """The number of the first line of a regular file that is not UTF-8, and
-    its decode error, whose position counts from the start of that line.
-    Lines end at \n, \r\n or \r, as csv.reader counts them; no multi-byte
-    UTF-8 sequence holds those bytes.  None for a pipe: what was read from
-    it is gone."""
-    if not os.path.isfile(path):
-        return None
-    number = 0
-    with open(path, "rb") as fh:
-        for chunk in fh:  # ends at \n
-            for line in chunk.splitlines():
-                number += 1
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as err:
-                    return number, err
-    return None
+def _utf8_lines(fh):
+    """The lines of the binary file fh as csv.reader counts them, ended by
+    \n, \r\n or \r, each decoded from UTF-8 on its own.  So a line that is
+    not UTF-8 raises only when csv.reader asks for it, after every record
+    before it, and the error's position counts from the start of that line.
+    A byte-order mark is not part of the first column's name: it is dropped
+    from line 1, after decoding, so its 3 bytes count in a position there."""
+    lines = (line.decode("utf-8")
+             for chunk in fh  # ends at \n, and may hold lines ended by \r
+             for line in chunk.splitlines(keepends=True))
+    first = next(lines, None)
+    if first is not None:
+        yield first.removeprefix("\ufeff")
+        yield from lines
 
 
 def cmd_verify_corpus(args, out: _Out) -> int:
     parse_errors = invalid = valid = 0
     try:
-        # utf-8-sig: a byte-order mark is not part of the first column's name
-        with open(args.corpus, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
+        with open(args.corpus, "rb") as fh:
+            reader = csv.reader(_utf8_lines(fh))
             header = next(reader, None)  # the first record, even a blank one
             if header is None or not {"k", "x", "y", "z"} <= set(header):
                 out.write(f"{args.corpus}: header must contain columns k,x,y,z\n")
@@ -241,14 +238,8 @@ def cmd_verify_corpus(args, out: _Out) -> int:
     except csv.Error as err:  # e.g. a field over csv.field_size_limit()
         out.write(f"{args.corpus}: line {reader.line_num}: {err}\n")
         return EXIT_USAGE
-    except UnicodeDecodeError as err:
-        # the decoder reads ahead, so reader.line_num and the error's
-        # position say little: find the line in the bytes
-        found = _first_undecodable_line(args.corpus)
-        if found:
-            out.write(f"{args.corpus}: line {found[0]}: {found[1]}\n")
-        else:
-            out.write(f"{args.corpus}: after line {reader.line_num}: not UTF-8 ({err.reason})\n")
+    except UnicodeDecodeError as err:  # from the line after the last one read
+        out.write(f"{args.corpus}: line {reader.line_num + 1}: {err}\n")
         return EXIT_USAGE
     except BrokenPipeError:
         raise  # stdout is closed: nothing was wrong with the corpus

@@ -61,9 +61,10 @@ class Alphabet(namedtuple("Alphabet", "symbols")):
     def check_gram(self, gram: str, length: int | None = None):
         if length is not None and len(gram) != length:
             raise ValueError(f"expected a {length}-gram, got {gram!r}")
-        # one bulk test; the per-symbol loop only runs to name the bad symbols
+        # one bulk test; the per-symbol loop only runs to name the bad
+        # symbols, each once, in the order they first appear
         if not set(gram).issubset(self.symbols):
-            bad = [c for c in gram if c not in self.symbols]
+            bad = [c for c in dict.fromkeys(gram) if c not in self.symbols]
             raise ValueError(f"symbols {bad!r} not in alphabet {''.join(self.symbols)!r}")
 
 

@@ -765,15 +765,19 @@ def test_an_error_mid_run_comes_after_the_lines_already_produced(capsys, monkeyp
 
 
 def test_verify_corpus_names_the_file_and_line_of_a_byte_that_is_not_utf8(capsys, tmp_path):
+    # a file under 8 KiB, read whole at once: the rows before the bad line stay
     corpus = tmp_path / "corpus.csv"
     for end in (b"\n", b"\r\n", b"\r"):  # csv.reader's line ends
-        corpus.write_bytes(end.join([b"k,x,y,z", b"29,1,1,3", b"29,1,1,\xff3", b""]))
+        corpus.write_bytes(end.join([b"k,x,y,z", b"29,1,1,3", b"35,1,2,3", b"1,\xff,2,3",
+                                     b"29,1,1,3", b""]))
         assert run(capsys, "verify-corpus", str(corpus)) == \
-            (2, f"{corpus}: line 3: 'utf-8' codec can't decode byte 0xff in position 7: "
+            (2, "line 2: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1\n"
+                "line 3: k=35 (1,2,3) INVALID sum=36\n"
+                f"{corpus}: line 4: 'utf-8' codec can't decode byte 0xff in position 2: "
                 "invalid start byte\n", "")
 
-    # far past the decoder's first read: the lines before it stay, and the
-    # line is counted in the file, not in the decoder's read-ahead
+    # far past the first 8 KiB: every line before it stays, and the line is
+    # counted in the file
     rows = _good_rows(500)
     text = "k,x,y,z\n" + "".join(f"{k},{x},{y},{z}\n" for k, x, y, z in rows)
     corpus.write_bytes(text.encode() + b'1,2,"3\xe2\x82",4\n')
@@ -783,27 +787,60 @@ def test_verify_corpus_names_the_file_and_line_of_a_byte_that_is_not_utf8(capsys
     assert message == (f"{corpus}: line 502: 'utf-8' codec can't decode bytes in "
                        "position 6-7: invalid continuation byte")
     want = [f"line {i}: k={k} ({x},{y},{z}) OK" for i, (k, x, y, z) in enumerate(rows, 2)]
-    assert 0 < len(kept) < len(want)
-    assert [line.split(" class=")[0] for line in kept] == want[:len(kept)]
+    assert [line.split(" class=")[0] for line in kept] == want
+
+
+def _run_from_a_pipe(capsys, data: bytes):
+    """cli.main's (code, stdout, stderr) for verify-corpus reading data
+    through /dev/fd, and that path.  data must fit the 64 KiB pipe buffer."""
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        path = f"/dev/fd/{r}"
+        return run(capsys, "verify-corpus", path), path
+    finally:
+        os.close(r)
 
 
 @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
 def test_verify_corpus_from_a_pipe_bounds_the_line_of_a_byte_that_is_not_utf8(capsys):
-    # a pipe cannot be read again to find the line: name the last line read
     rows = _good_rows(500)
     text = "k,x,y,z\n" + "".join(f"{k},{x},{y},{z}\n" for k, x, y, z in rows)
-    r, w = os.pipe()
-    try:
-        os.write(w, text.encode() + b"1,2,3,\xff\n")  # under the 64 KiB pipe buffer
-        os.close(w)
-        path = f"/dev/fd/{r}"
-        code, out, err = run(capsys, "verify-corpus", path)
-    finally:
-        os.close(r)
+    (code, out, err), path = _run_from_a_pipe(capsys, text.encode() + b"1,2,3,\xff\n")
     assert (code, err) == (2, "")
     *kept, message = out.splitlines()
-    assert 0 < len(kept) < len(rows)
-    assert message == f"{path}: after line {len(kept) + 1}: not UTF-8 (invalid start byte)"
+    assert message == (f"{path}: line 502: 'utf-8' codec can't decode byte 0xff in "
+                       "position 6: invalid start byte")
+    want = [f"line {i}: k={k} ({x},{y},{z}) OK" for i, (k, x, y, z) in enumerate(rows, 2)]
+    assert [line.split(" class=")[0] for line in kept] == want
+
+
+_ROW_2 = "line 2: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1\n"
+_BAD = "'utf-8' codec can't decode byte"
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("lines, kept, message", [
+    ([b"k,x,\xffy,z", b"29,1,1,3"], "",
+     f"line 1: {_BAD} 0xff in position 4: invalid start byte"),
+    ([b"\xef\xbb\xbfk,x,\xffy,z", b"29,1,1,3"], "",  # a BOM's bytes count
+     f"line 1: {_BAD} 0xff in position 7: invalid start byte"),
+    ([b"k,x,y,z", b"29,1,1,3", b'35,"1', b'\xff",2,3'], _ROW_2,
+     f"line 4: {_BAD} 0xff in position 0: invalid start byte"),
+    ([b"k,x,y,z", b"29,1,1,3", b"29,1,1,3\xe2"], _ROW_2,  # the line end is read too
+     f"line 3: {_BAD} 0xe2 in position 8: invalid continuation byte"),
+], ids=["header", "header-after-a-BOM", "quoted-field", "cut-short-before-the-line-end"])
+def test_verify_corpus_reads_a_file_and_a_pipe_alike(capsys, tmp_path, end, lines, kept,
+                                                      message):
+    data = end.join(lines + [b""])
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_bytes(data)
+    from_file = run(capsys, "verify-corpus", str(corpus))
+    from_pipe, path = _run_from_a_pipe(capsys, data)
+    assert from_file == (2, f"{kept}{corpus}: {message}\n", "")
+    assert from_pipe == (2, f"{kept}{path}: {message}\n", "")
 
 
 def test_search_rejects_oversized_bound(capsys):

@@ -3,21 +3,24 @@
 Exit codes are stable across subcommands: 0 success/complete, 1 validation
 failure, 2 usage or parse error, and 141 (128 + SIGPIPE), with nothing on
 stderr, when stdout is closed before the output ends, as `| head` does.
-Output is written as it is produced, in pieces of about 64 KiB (see _Out),
-so memory does not grow with its size; identical invocations still produce
-bytewise-identical results.  A usage error found before any output leaves
-stdout empty.  One found mid-run, such as a corpus record that is not CSV
-or not UTF-8, keeps every line already produced on stdout, then adds its
-message and exits 2.  verify-corpus decodes its input a line at a time, so
-such an error keeps every row before the bad line, read from a file or a
-pipe alike.
+Output goes to sys.stdout as it is produced, so memory does not grow with
+its size; identical invocations still produce bytewise-identical results.
+sys.stdout buffers it: entrypoint turns write-through off once, so a run
+under PYTHONUNBUFFERED too passes its text on in pieces of 8 KiB, not a
+system call per line, and main flushes it before any `error:` line goes to
+stderr.  A usage error found before any output leaves stdout empty.  So
+does a corpus that cannot be read, such as a missing file or a directory:
+like any other OSError it gets `error: <reason>` on stderr and exit 2.  An
+error found mid-run, such as a corpus record that is not CSV or not UTF-8,
+keeps every line already produced on stdout, then adds its message and
+exits 2.  verify-corpus decodes its input a line at a time, so such an
+error keeps every row before the bad line, read from a file or a pipe alike.
 """
 
 import argparse
 import csv
 import os
 import sys
-from itertools import islice
 
 from . import debruijn, residues, search
 
@@ -27,43 +30,10 @@ EXIT_USAGE = 2
 EXIT_CLOSED_STDOUT = 128 + 13  # the shell's code for a process killed by SIGPIPE
 
 
-class _Out:
-    """Text bound for stdout, passed on in pieces of at least CHUNK
-    characters, and the rest on flush().  With PYTHONUNBUFFERED set, each
-    sys.stdout.write is one system call, so a write per line would cost
-    more than the lines.  sys.stdout is looked up at each write: a caller
-    may have swapped it, as contextlib.redirect_stdout does."""
-
-    CHUNK = 1 << 16
-
-    def __init__(self):
-        self._parts: list[str] = []
-        self._size = 0
-
-    def write(self, text: str):
-        self._parts.append(text)
-        self._size += len(text)
-        if self._size >= self.CHUNK:
-            self.flush()
-
-    def writelines(self, lines):
-        """Write each string of an iterable, joined a batch at a time."""
-        lines = iter(lines)
-        while batch := "".join(islice(lines, 1024)):
-            self.write(batch)
-
-    def flush(self):
-        if self._parts:
-            text = "".join(self._parts)
-            self._parts.clear()
-            self._size = 0
-            sys.stdout.write(text)
-
-
 CSV_HEADER = ["k", "x", "y", "z", "class", "path"]
 
 
-def _write_csv(out: _Out, path, results: list[search.SearchResult]):
+def _write_csv(out, path, results: list[search.SearchResult]):
     """CSV_HEADER and a row per representation: into the file at path, with
     a one-line note on out, or else on out."""
     def write(fh):
@@ -80,7 +50,7 @@ def _write_csv(out: _Out, path, results: list[search.SearchResult]):
         write(out)
 
 
-def cmd_classes(args, out: _Out) -> int:
+def cmd_classes(args, out) -> int:
     for z in range(9):
         triples = residues.decompose(z)
         if not triples:
@@ -103,7 +73,7 @@ def _graph(alphabet: str, order: int, fixture: str | None):
     return debruijn.TERNARY_ALPHABET, 3, edges
 
 
-def cmd_graph(args, out: _Out) -> int:
+def cmd_graph(args, out) -> int:
     nodes, edges, lines = debruijn.dot_lines(
         *_graph(args.alphabet, args.order, args.subgraph),
         name=args.subgraph or f"debruijn_{args.alphabet}_{args.order}")
@@ -116,7 +86,7 @@ def cmd_graph(args, out: _Out) -> int:
     return EXIT_OK
 
 
-def cmd_cycle(args, out: _Out) -> int:
+def cmd_cycle(args, out) -> int:
     try:  # an edge subset may not be Eulerian
         seq = debruijn.debruijn_sequence(*_graph(args.alphabet, args.order, args.subgraph))
     except debruijn.NotEulerianError as err:
@@ -126,7 +96,7 @@ def cmd_cycle(args, out: _Out) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args, out: _Out) -> int:
+def cmd_validate(args, out) -> int:
     # a long claim does not fit in one command-line argument (128 KiB on Linux)
     cycle = sys.stdin.read().removesuffix("\n") if args.cycle == "-" else args.cycle
     covered, total, missing, extra, duplicates = debruijn.coverage(
@@ -141,7 +111,7 @@ def cmd_validate(args, out: _Out) -> int:
     return EXIT_OK if exact else EXIT_INVALID
 
 
-def cmd_search(args, out: _Out) -> int:
+def cmd_search(args, out) -> int:
     result = search.search_k(args.k, search.SearchBounds(args.bound))
     _write_csv(out, args.out, [result])
     if result.skipped:
@@ -152,7 +122,7 @@ def cmd_search(args, out: _Out) -> int:
     return EXIT_OK
 
 
-def cmd_scan(args, out: _Out) -> int:
+def cmd_scan(args, out) -> int:
     if args.k_from > args.k_to:
         raise search.SearchBoundsError(
             f"--from {args.k_from} is greater than --to {args.k_to}")
@@ -198,7 +168,7 @@ def _utf8_lines(fh):
         yield from lines
 
 
-def cmd_verify_corpus(args, out: _Out) -> int:
+def cmd_verify_corpus(args, out) -> int:
     parse_errors = invalid = valid = 0
     try:
         with open(args.corpus, "rb") as fh:
@@ -240,11 +210,6 @@ def cmd_verify_corpus(args, out: _Out) -> int:
         return EXIT_USAGE
     except UnicodeDecodeError as err:  # from the line after the last one read
         out.write(f"{args.corpus}: line {reader.line_num + 1}: {err}\n")
-        return EXIT_USAGE
-    except BrokenPipeError:
-        raise  # stdout is closed: nothing was wrong with the corpus
-    except OSError as err:
-        out.write(f"cannot read corpus: {err}\n")
         return EXIT_USAGE
 
     out.write(f"{valid} valid, {invalid} invalid, {parse_errors} parse error(s)\n")
@@ -317,12 +282,11 @@ def _graph_flags(p):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = _Out()
     try:
         try:
-            return args.func(args, out)
+            return args.func(args, sys.stdout)
         finally:
-            out.flush()  # what was produced before an error comes first
+            sys.stdout.flush()  # what was produced before an error comes first
     except residues.CubeSumMismatch:
         raise  # a search hit that fails its exact recheck is a bug, not bad input
     except BrokenPipeError:
@@ -333,11 +297,8 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    try:
-        code = main()
-        sys.stdout.flush()  # output that fit the buffer meets a closed reader here
-    except BrokenPipeError:
-        code = EXIT_CLOSED_STDOUT
+    sys.stdout.reconfigure(write_through=False)  # PYTHONUNBUFFERED sets it: a syscall a line
+    code = main()
     if code == EXIT_CLOSED_STDOUT:
         # the interpreter flushes stdout once more on exit: let that write go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

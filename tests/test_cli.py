@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import hashlib
@@ -172,33 +173,6 @@ def test_full_graph_dot_builds_no_graph(capsys, monkeypatch, tmp_path, symbols, 
     assert run(capsys, *argv, "--dot", str(dot)) == \
         (0, f"wrote DOT ({nodes} nodes, {edges} edges) to {dot}\n", "")
     assert dot.read_text(encoding="utf-8") == want
-
-
-class CountingStdout(io.StringIO):
-    """A stdout that counts its write calls."""
-
-    def __init__(self):
-        super().__init__()
-        self.writes = 0
-
-    def write(self, text):
-        self.writes += 1
-        return super().write(text)
-
-
-def run_counted(*argv):
-    out = CountingStdout()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(list(argv))
-    return code, out.getvalue(), out.writes
-
-
-def test_graph_writes_stdout_in_chunks():
-    code, text, writes = run_counted("graph", "--alphabet", "01", "--order", "12")
-    assert code == 0 and len(text) > 3 * cli._Out.CHUNK
-    assert writes <= len(text.encode("utf-8")) // cli._Out.CHUNK + 2
-    alphabet = debruijn.Alphabet.from_string("01")
-    assert text == to_dot(build_graph(alphabet, 12), name="debruijn_01_12")
 
 
 def test_graph_unknown_fixture_is_usage_error(capsys):
@@ -559,8 +533,12 @@ def test_verify_corpus_accepts_huge_integers(capsys, tmp_path):
 
 
 def test_verify_corpus_missing_file(capsys, tmp_path):
-    code, _, _ = run(capsys, "verify-corpus", str(tmp_path / "nope.csv"))
-    assert code == 2
+    # a corpus that cannot be read is an OSError like any other: stderr, not stdout
+    missing = tmp_path / "nope.csv"
+    assert run(capsys, "verify-corpus", str(missing)) == \
+        (2, "", f"error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+    assert run(capsys, "verify-corpus", str(tmp_path)) == \
+        (2, "", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
 
 
 def test_verify_corpus_bad_header(capsys, tmp_path):
@@ -721,26 +699,81 @@ def _good_rows(n):
             for x, y, z in ((i, -2 * i - 7, 10**21 + i) for i in range(n))]
 
 
-def test_verify_corpus_spanning_many_chunks_is_written_in_chunks(tmp_path):
-    corpus = tmp_path / "corpus.csv"
-    with open(corpus, "w", newline="") as fh:
+def _good_corpus(path, n):
+    """A corpus of n rows that check, then one that does not: exit 1."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "x", "y", "z"])
-        writer.writerows(_good_rows(3000))
-        writer.writerow([1, 2, 3, 4])  # INVALID: exit 1
-    want_code, want_text = _verify_corpus_with_dict_reader(str(corpus))
-    code, text, writes = run_counted("verify-corpus", str(corpus))
-    assert (code, text) == (want_code, want_text + "\n") and code == 1
-    assert len(text) > 3 * cli._Out.CHUNK
-    assert writes <= len(text.encode("utf-8")) // cli._Out.CHUNK + 2
+        writer.writerows(_good_rows(n))
+        writer.writerow([1, 2, 3, 4])
+    return path
 
 
-@pytest.mark.parametrize("chunk", [1, 100, 1 << 30])
-def test_verify_corpus_keeps_the_lines_before_a_csv_error(capsys, monkeypatch, tmp_path, chunk):
-    monkeypatch.setattr(cli._Out, "CHUNK", chunk)
+class CountingRaw(io.RawIOBase):
+    """A binary stdout that keeps what it is given and counts its writes."""
+
+    def __init__(self):
+        self.data = bytearray()
+        self.writes = 0
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes += 1
+        self.data += b
+        return len(b)
+
+
+@pytest.mark.parametrize("case", ["graph", "verify-corpus"])
+def test_entrypoint_buffers_stdout_even_when_unbuffered(monkeypatch, tmp_path, case):
+    if case == "graph":
+        argv, want_code = ["graph", "--alphabet", "01", "--order", "12"], 0
+        want = to_dot(build_graph(debruijn.Alphabet.from_string("01"), 12),
+                      name="debruijn_01_12")
+    else:
+        corpus = _good_corpus(tmp_path / "corpus.csv", 3000)
+        argv = ["verify-corpus", str(corpus)]
+        want_code, want = _verify_corpus_with_dict_reader(str(corpus))
+        want += "\n"
+    raw = CountingRaw()
+    # what PYTHONUNBUFFERED gives: each write reaches the raw file at once
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8",
+                                                        write_through=True))
+    monkeypatch.setattr(sys, "argv", ["cubegraph", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint()
+    assert (exc.value.code, raw.data.decode("utf-8")) == (want_code, want)
+    # TextIOWrapper passes text on 8 KiB at a time, sending what it holds
+    # before a line that would overflow that: each piece is short by under a
+    # line, which at these sizes costs no more than the 2 writes allowed
+    assert len(raw.data) > 3 * 8192
+    assert raw.writes <= len(raw.data) // 8192 + 2
+
+
+class PartialRaw(CountingRaw):
+    """A binary stdout that takes at most `piece` bytes a write, as a pipe may."""
+
+    def __init__(self, piece):
+        super().__init__()
+        self.piece = piece
+
+    def write(self, b):
+        return super().write(bytes(b[:self.piece]))
+
+
+@pytest.mark.parametrize("piece", [1, 100, 1 << 30])
+def test_verify_corpus_keeps_the_lines_before_a_csv_error(capsys, monkeypatch, tmp_path, piece):
+    # through entrypoint's own stdout, whatever share of a write the file takes
     corpus = tmp_path / "corpus.csv"
     corpus.write_text("k,x,y,z\n29,1,1,3\n35,1,2,3\n1," + "1" * 200_000 + ",0,0\n1,2,3,4\n")
-    code, out, err = run(capsys, "verify-corpus", str(corpus))
+    raw = PartialRaw(piece)
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(raw),
+                                                        encoding="utf-8", write_through=True))
+    monkeypatch.setattr(sys, "argv", ["cubegraph", "verify-corpus", str(corpus)])
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint()
+    code, out, err = exc.value.code, raw.data.decode("utf-8"), capsys.readouterr().err
     assert (code, err) == (2, "")
     assert out == ("line 2: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1\n"
                    "line 3: k=35 (1,2,3) INVALID sum=36\n"
@@ -916,6 +949,24 @@ def test_cli_imports_only_the_standard_library():
     assert "inspect" not in modules
 
 
+def test_the_package_imports_only_the_standard_library():
+    # dependencies = []: every absolute import in src/cubegraph names a stdlib module
+    package = Path(cli.__file__).resolve().parent
+    imported = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one
+            for name in names:
+                imported.setdefault(name.split(".")[0], []).append(f"{path.name}:{node.lineno}")
+    assert "argparse" in imported and "csv" in imported
+    assert {m: where for m, where in imported.items() if m not in sys.stdlib_module_names} == {}
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
 def test_full_graph_dot_peak_memory_does_not_grow_with_the_output():
     # VmHWM, not ru_maxrss: a child's ru_maxrss starts from its parent's peak
@@ -943,6 +994,33 @@ def test_full_graph_dot_peak_memory_does_not_grow_with_the_output():
         assert hwm_kib < max_mib * 1024, argv
 
 
+def _cli_env(unbuffered: bool) -> dict:
+    """The environment of a `python -m cubegraph.cli` run, with
+    PYTHONUNBUFFERED set or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("argv", [
+    ("graph", "--alphabet", "01", "--order", "12"),
+    ("cycle",),
+    ("scan", "--from", "1", "--to", "30", "--bound", "60"),
+    ("verify-corpus", "{corpus}"),
+])
+def test_output_is_the_same_in_every_buffering_mode(capsys, tmp_path, argv):
+    corpus = _good_corpus(tmp_path / "c.csv", 2000)
+    argv = [a.format(corpus=corpus) for a in argv]
+    want_code = cli.main(argv)
+    want = capsys.readouterr().out.encode("utf-8")
+    for unbuffered in (False, True):
+        proc = subprocess.run([sys.executable, "-m", "cubegraph.cli", *argv],
+                              capture_output=True, env=_cli_env(unbuffered), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (want_code, want, b""), unbuffered
+
+
 @pytest.mark.parametrize("argv", [
     ("graph", "--alphabet", "01", "--order", "16"),
     ("verify-corpus", "{corpus}"),
@@ -952,12 +1030,12 @@ def test_a_closed_stdout_ends_the_run_quietly(tmp_path, argv):
     # megabytes, far more than a pipe holds, so the run is still writing then
     corpus = tmp_path / "c.csv"
     corpus.write_text("k,x,y,z\n" + "29,1,1,3\n" * 20_000)
-    src = str(Path(cli.__file__).resolve().parents[1])
     argv = [a.format(corpus=corpus) for a in argv]
-    proc = subprocess.Popen([sys.executable, "-m", "cubegraph.cli", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.readline()
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert (proc.returncode, err) == (cli.EXIT_CLOSED_STDOUT, b"")
+    for unbuffered in (False, True):
+        proc = subprocess.Popen([sys.executable, "-m", "cubegraph.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=_cli_env(unbuffered))
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (cli.EXIT_CLOSED_STDOUT, b""), unbuffered

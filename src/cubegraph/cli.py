@@ -7,14 +7,14 @@ Output goes to sys.stdout as it is produced, so memory does not grow with
 its size; identical invocations still produce bytewise-identical results.
 sys.stdout buffers it: entrypoint turns write-through off once, so a run
 under PYTHONUNBUFFERED too passes its text on in pieces of 8 KiB, not a
-system call per line, and main flushes it before any `error:` line goes to
-stderr.  A usage error found before any output leaves stdout empty.  So
-does a corpus that cannot be read, such as a missing file or a directory:
-like any other OSError it gets `error: <reason>` on stderr and exit 2.  An
-error found mid-run, such as a corpus record that is not CSV or not UTF-8,
-keeps every line already produced on stdout, then adds its message and
-exits 2.  verify-corpus decodes its input a line at a time, so such an
-error keeps every row before the bad line, read from a file or a pipe alike.
+system call per line.  stdout carries results only.  Every error that
+stops a run once its arguments parse, such as a bound over the cap, an
+unreadable corpus or a record that is not CSV or not UTF-8, reaches main:
+it flushes the lines already produced, then writes one `error: <reason>`
+line on stderr and exits 2.  So an error found before any output leaves
+stdout empty, and one found mid-run keeps every line before it, read from a
+file or a pipe alike.  A run started with stdout closed gets that one
+`error:` line and exit 2.
 """
 
 import argparse
@@ -170,13 +170,12 @@ def _utf8_lines(fh):
 
 def cmd_verify_corpus(args, out) -> int:
     parse_errors = invalid = valid = 0
-    try:
+    try:  # an error that stops the run names file and line; main puts it on stderr
         with open(args.corpus, "rb") as fh:
             reader = csv.reader(_utf8_lines(fh))
             header = next(reader, None)  # the first record, even a blank one
             if header is None or not {"k", "x", "y", "z"} <= set(header):
-                out.write(f"{args.corpus}: header must contain columns k,x,y,z\n")
-                return EXIT_USAGE
+                raise ValueError(f"{args.corpus}: header must contain columns k,x,y,z")
             column = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
             ik, ix, iy, iz = column["k"], column["x"], column["y"], column["z"]
             for row in reader:
@@ -206,11 +205,9 @@ def cmd_verify_corpus(args, out) -> int:
                           f"class={residues.class_of(k)} "
                           f"path={path} signed={signed}\n")
     except csv.Error as err:  # e.g. a field over csv.field_size_limit()
-        out.write(f"{args.corpus}: line {reader.line_num}: {err}\n")
-        return EXIT_USAGE
+        raise ValueError(f"{args.corpus}: line {reader.line_num}: {err}") from None
     except UnicodeDecodeError as err:  # from the line after the last one read
-        out.write(f"{args.corpus}: line {reader.line_num + 1}: {err}\n")
-        return EXIT_USAGE
+        raise ValueError(f"{args.corpus}: line {reader.line_num + 1}: {err}") from None
 
     out.write(f"{valid} valid, {invalid} invalid, {parse_errors} parse error(s)\n")
     if parse_errors:
@@ -297,6 +294,9 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
+    if sys.stdout is None:  # fd 1 was closed at start-up: not a reader that went away
+        print("error: stdout is closed", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
     sys.stdout.reconfigure(write_through=False)  # PYTHONUNBUFFERED sets it: a syscall a line
     code = main()
     if code == EXIT_CLOSED_STDOUT:

@@ -75,10 +75,8 @@ class DeBruijnGraph(namedtuple("DeBruijnGraph", "alphabet order edges")):
 
     def __new__(cls, alphabet: Alphabet, order: int, edges: frozenset[str]):
         check_order(alphabet, order)
-        # one bulk pass; the per-edge loop only runs to name the bad edge
-        if set(map(len, edges)) - {order} or not set("".join(edges)).issubset(alphabet.symbols):
-            for e in edges:
-                alphabet.check_gram(e, order)
+        for e in edges:
+            alphabet.check_gram(e, order)
         return super().__new__(cls, alphabet, order, edges)
 
     @property

@@ -17,6 +17,9 @@ CUBIC_RESIDUES = frozenset({0, 1, 8})
 # classes of k with no admissible residue triple (k = +-4 mod 9)
 INFEASIBLE_CLASSES = frozenset({4, 5})
 
+# classes reachable by a sum of two cubes: {0, 1, 2, 7, 8}
+TWO_CUBE_CLASSES = frozenset((a + b) % 9 for a in CUBIC_RESIDUES for b in CUBIC_RESIDUES)
+
 
 class CubeSumMismatch(ValueError):
     """Raised when x^3 + y^3 + z^3 does not equal the claimed k."""

@@ -17,10 +17,7 @@ literature-scale solutions with 16+ digit terms check exactly.
 from collections import defaultdict, namedtuple
 from math import isqrt
 
-from .residues import is_feasible, label_solution
-
-# classes reachable by a sum of two cubic residues: {0,1,8} + {0,1,8} mod 9
-TWO_CUBE_CLASSES = frozenset({0, 1, 2, 7, 8})
+from .residues import TWO_CUBE_CLASSES, is_feasible, label_solution
 
 # The cap on `search` (one k, divisor method).  Its worst cases are k = 0 and
 # the cubes: z^3 = k mod d has many roots when k shares small prime factors

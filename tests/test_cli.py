@@ -542,11 +542,12 @@ def test_verify_corpus_missing_file(capsys, tmp_path):
 
 
 def test_verify_corpus_bad_header(capsys, tmp_path):
+    # no output yet: stdout stays empty and the one message goes to stderr
     corpus = tmp_path / "corpus.csv"
-    corpus.write_text("a,b\n1,2\n")
-    code, out, _ = run(capsys, "verify-corpus", str(corpus))
-    assert code == 2
-    assert "header" in out
+    for data in (b"a,b\n1,2\n", b"", b"\nk,x,y,z\n29,1,1,3\n", b"\xef\xbb\xbfa,b\n1,2\n"):
+        corpus.write_bytes(data)
+        assert run(capsys, "verify-corpus", str(corpus)) == \
+            (2, "", f"error: {corpus}: header must contain columns k,x,y,z\n"), data
 
 
 def test_verify_corpus_accepts_a_byte_order_mark(capsys, tmp_path):
@@ -561,12 +562,11 @@ def test_verify_corpus_accepts_a_byte_order_mark(capsys, tmp_path):
 def test_verify_corpus_field_over_the_csv_limit_is_a_usage_error(capsys, tmp_path):
     corpus = tmp_path / "corpus.csv"
     corpus.write_text("k,x,y,z\n29,1,1,3\n\n1," + "1" * 200_000 + ",0,0\n")
-    code, out, err = run(capsys, "verify-corpus", str(corpus))
-    assert (code, err) == (2, "")
-    # the lines produced before the bad record stay, then the message
-    assert out == ("line 2: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1\n"
-                   f"{corpus}: line 4: field larger than field limit "
-                   f"({csv.field_size_limit()})\n")
+    # the lines produced before the bad record stay on stdout; the message is on stderr
+    assert run(capsys, "verify-corpus", str(corpus)) == \
+        (2, "line 2: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1\n",
+         f"error: {corpus}: line 4: field larger than field limit "
+         f"({csv.field_size_limit()})\n")
 
 
 def test_verify_corpus_builds_no_row_dict_or_representation(capsys, monkeypatch, tmp_path):
@@ -593,13 +593,14 @@ def _verify_corpus_with_dict_reader(path):
     one csv.DictReader dict per row, checking the cube sum itself and
     spelling the labels from the arithmetic (oracles.spelled_labels), not
     from the tables in residues.  The reference for
-    test_verify_corpus_matches_the_dict_reader_loop."""
+    test_verify_corpus_matches_the_dict_reader_loop.  Returns the exit
+    code, stdout and stderr."""
     lines = []
     parse_errors = invalid = valid = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"k", "x", "y", "z"} <= set(reader.fieldnames):
-            return 2, f"{path}: header must contain columns k,x,y,z"
+            return 2, "", f"error: {path}: header must contain columns k,x,y,z\n"
         for raw in reader:
             i = reader.line_num
             try:
@@ -619,9 +620,8 @@ def _verify_corpus_with_dict_reader(path):
             lines.append(f"line {i}: k={k} ({x},{y},{z}) OK "
                          f"class={k % 9} path={path} signed={signed}")
     lines.append(f"{valid} valid, {invalid} invalid, {parse_errors} parse error(s)")
-    if parse_errors:
-        return 2, "\n".join(lines)
-    return (0 if invalid == 0 else 1), "\n".join(lines)
+    code = 2 if parse_errors else 0 if invalid == 0 else 1
+    return code, "".join(f"{line}\n" for line in lines), ""
 
 
 # what str.strip removes and int alone keeps: \x1c-\x1f; a newline only inside quotes
@@ -686,11 +686,10 @@ def test_verify_corpus_matches_the_dict_reader_loop(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "differential.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    want_code, want_text = _verify_corpus_with_dict_reader(str(path))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["verify-corpus", str(path)])
-    assert (code, out.getvalue()) == (want_code, want_text + "\n")
+    assert (code, out.getvalue(), err.getvalue()) == _verify_corpus_with_dict_reader(str(path))
 
 
 def _good_rows(n):
@@ -734,8 +733,7 @@ def test_entrypoint_buffers_stdout_even_when_unbuffered(monkeypatch, tmp_path, c
     else:
         corpus = _good_corpus(tmp_path / "corpus.csv", 3000)
         argv = ["verify-corpus", str(corpus)]
-        want_code, want = _verify_corpus_with_dict_reader(str(corpus))
-        want += "\n"
+        want_code, want, _ = _verify_corpus_with_dict_reader(str(corpus))
     raw = CountingRaw()
     # what PYTHONUNBUFFERED gives: each write reaches the raw file at once
     monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8",
@@ -773,12 +771,11 @@ def test_verify_corpus_keeps_the_lines_before_a_csv_error(capsys, monkeypatch, t
     monkeypatch.setattr(sys, "argv", ["cubegraph", "verify-corpus", str(corpus)])
     with pytest.raises(SystemExit) as exc:
         cli.entrypoint()
-    code, out, err = exc.value.code, raw.data.decode("utf-8"), capsys.readouterr().err
-    assert (code, err) == (2, "")
-    assert out == ("line 2: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1\n"
-                   "line 3: k=35 (1,2,3) INVALID sum=36\n"
-                   f"{corpus}: line 4: field larger than field limit "
-                   f"({csv.field_size_limit()})\n")
+    assert (exc.value.code, raw.data.decode("utf-8"), capsys.readouterr().err) == \
+        (2, "line 2: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1\n"
+            "line 3: k=35 (1,2,3) INVALID sum=36\n",
+         f"error: {corpus}: line 4: field larger than field limit "
+         f"({csv.field_size_limit()})\n")
 
 
 def test_an_error_mid_run_comes_after_the_lines_already_produced(capsys, monkeypatch, tmp_path):
@@ -805,9 +802,9 @@ def test_verify_corpus_names_the_file_and_line_of_a_byte_that_is_not_utf8(capsys
                                      b"29,1,1,3", b""]))
         assert run(capsys, "verify-corpus", str(corpus)) == \
             (2, "line 2: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1\n"
-                "line 3: k=35 (1,2,3) INVALID sum=36\n"
-                f"{corpus}: line 4: 'utf-8' codec can't decode byte 0xff in position 2: "
-                "invalid start byte\n", "")
+                "line 3: k=35 (1,2,3) INVALID sum=36\n",
+             f"error: {corpus}: line 4: 'utf-8' codec can't decode byte 0xff in position 2: "
+             "invalid start byte\n")
 
     # far past the first 8 KiB: every line before it stays, and the line is
     # counted in the file
@@ -815,12 +812,10 @@ def test_verify_corpus_names_the_file_and_line_of_a_byte_that_is_not_utf8(capsys
     text = "k,x,y,z\n" + "".join(f"{k},{x},{y},{z}\n" for k, x, y, z in rows)
     corpus.write_bytes(text.encode() + b'1,2,"3\xe2\x82",4\n')
     code, out, err = run(capsys, "verify-corpus", str(corpus))
-    assert (code, err) == (2, "")
-    *kept, message = out.splitlines()
-    assert message == (f"{corpus}: line 502: 'utf-8' codec can't decode bytes in "
-                       "position 6-7: invalid continuation byte")
+    assert (code, err) == (2, f"error: {corpus}: line 502: 'utf-8' codec can't decode bytes "
+                              "in position 6-7: invalid continuation byte\n")
     want = [f"line {i}: k={k} ({x},{y},{z}) OK" for i, (k, x, y, z) in enumerate(rows, 2)]
-    assert [line.split(" class=")[0] for line in kept] == want
+    assert [line.split(" class=")[0] for line in out.splitlines()] == want
 
 
 def _run_from_a_pipe(capsys, data: bytes):
@@ -841,12 +836,10 @@ def test_verify_corpus_from_a_pipe_bounds_the_line_of_a_byte_that_is_not_utf8(ca
     rows = _good_rows(500)
     text = "k,x,y,z\n" + "".join(f"{k},{x},{y},{z}\n" for k, x, y, z in rows)
     (code, out, err), path = _run_from_a_pipe(capsys, text.encode() + b"1,2,3,\xff\n")
-    assert (code, err) == (2, "")
-    *kept, message = out.splitlines()
-    assert message == (f"{path}: line 502: 'utf-8' codec can't decode byte 0xff in "
-                       "position 6: invalid start byte")
+    assert (code, err) == (2, f"error: {path}: line 502: 'utf-8' codec can't decode byte 0xff "
+                              "in position 6: invalid start byte\n")
     want = [f"line {i}: k={k} ({x},{y},{z}) OK" for i, (k, x, y, z) in enumerate(rows, 2)]
-    assert [line.split(" class=")[0] for line in kept] == want
+    assert [line.split(" class=")[0] for line in out.splitlines()] == want
 
 
 _ROW_2 = "line 2: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1\n"
@@ -872,8 +865,8 @@ def test_verify_corpus_reads_a_file_and_a_pipe_alike(capsys, tmp_path, end, line
     corpus.write_bytes(data)
     from_file = run(capsys, "verify-corpus", str(corpus))
     from_pipe, path = _run_from_a_pipe(capsys, data)
-    assert from_file == (2, f"{kept}{corpus}: {message}\n", "")
-    assert from_pipe == (2, f"{kept}{path}: {message}\n", "")
+    assert from_file == (2, kept, f"error: {corpus}: {message}\n")
+    assert from_pipe == (2, kept, f"error: {path}: {message}\n")
 
 
 def test_search_rejects_oversized_bound(capsys):
@@ -954,7 +947,9 @@ def test_the_package_imports_only_the_standard_library():
     package = Path(cli.__file__).resolve().parent
     imported = {}
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        # requires-python = ">=3.10": the grammar of 3.10 only, not its library
+        tree = ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -1039,3 +1034,25 @@ def test_a_closed_stdout_ends_the_run_quietly(tmp_path, argv):
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (cli.EXIT_CLOSED_STDOUT, b""), unbuffered
+
+
+def test_a_mid_run_error_follows_its_rows_in_a_merged_stream(tmp_path):
+    # only one stream shows the order of stdout and stderr: the rows come first
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("k,x,y,z\n29,1,1,3\n35,1,2,3\n1," + "1" * 200_000 + ",0,0\n1,2,3,4\n")
+    for unbuffered in (False, True):
+        proc = subprocess.run([sys.executable, "-m", "cubegraph.cli", "verify-corpus",
+                               str(corpus)], stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                              env=_cli_env(unbuffered), timeout=60)
+        assert (proc.returncode, proc.stdout.decode()) == \
+            (2, "line 2: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1\n"
+                "line 3: k=35 (1,2,3) INVALID sum=36\n"
+                f"error: {corpus}: line 4: field larger than field limit "
+                f"({csv.field_size_limit()})\n"), unbuffered
+
+
+def test_a_run_started_with_stdout_closed_is_one_error_line():
+    # the interpreter sets sys.stdout to None when fd 1 is closed at start-up
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m cubegraph.cli classes >&-', sys.executable],
+                          stderr=subprocess.PIPE, env=_cli_env(False), timeout=60)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_USAGE, b"error: stdout is closed\n")

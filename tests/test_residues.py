@@ -9,6 +9,7 @@ from cubegraph.residues import (
     CUBIC_RESIDUES,
     CubeSumMismatch,
     INFEASIBLE_CLASSES,
+    TWO_CUBE_CLASSES,
     class_of,
     decompose,
     exact_str,
@@ -66,6 +67,11 @@ def test_decompose_examples():
 
 def test_decompose_empty_exactly_for_infeasible_classes():
     assert {z for z in range(9) if not decompose(z)} == set(INFEASIBLE_CLASSES)
+
+
+def test_two_cube_classes_are_the_classes_of_sums_of_two_cubes():
+    # a class too many would switch off the search's pruning without a failure
+    assert TWO_CUBE_CLASSES == {(x**3 + y**3) % 9 for x in range(9) for y in range(9)}
 
 
 def test_decompose_rejects_bad_class():

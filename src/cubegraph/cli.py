@@ -14,15 +14,17 @@ it flushes the lines already produced, then writes one `error: <reason>`
 line on stderr and exits 2.  So an error found before any output leaves
 stdout empty, and one found mid-run keeps every line before it, read from a
 file or a pipe alike.  A run started with stdout closed gets that one
-`error:` line and exit 2.
+`error:` line and exit 2; a run started with stderr closed exits as it
+would, with its `error:` line nowhere.  Each subcommand imports its own layer
+(search, debruijn, csv) when it runs, so a process compiles and loads only
+the modules its subcommand needs.
 """
 
 import argparse
-import csv
 import os
 import sys
 
-from . import debruijn, residues, search
+from . import residues  # main names residues.CubeSumMismatch
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -30,17 +32,17 @@ EXIT_USAGE = 2
 EXIT_CLOSED_STDOUT = 128 + 13  # the shell's code for a process killed by SIGPIPE
 
 
-CSV_HEADER = ["k", "x", "y", "z", "class", "path"]
+CSV_HEADER = "k,x,y,z,class,path\n"
 
 
-def _write_csv(out, path, results: list[search.SearchResult]):
-    """CSV_HEADER and a row per representation: into the file at path, with
-    a one-line note on out, or else on out."""
+def _write_csv(out, path, results):
+    """CSV_HEADER and a row per representation of the SearchResults: into
+    the file at path, with a one-line note on out, or else on out.  No field
+    needs quoting: each is an int or a label made of 0, 1, 8 and +."""
     def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows([rep.k, rep.x, rep.y, rep.z, residues.class_of(rep.k), rep.path]
-                         for res in results for rep in res.representations)
+        fh.write(CSV_HEADER)
+        fh.writelines(f"{rep.k},{rep.x},{rep.y},{rep.z},{rep.k % 9},{rep.path}\n"
+                      for res in results for rep in res.representations)
 
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -67,6 +69,8 @@ def _graph(alphabet: str, order: int, fixture: str | None):
     """The (alphabet, order, edges) of the graph a command names: a fixture's
     ternary edge subset, or with no fixture (None or "full") the full graph
     B(alphabet, order).  A fixture ignores --alphabet, which is not parsed."""
+    from . import debruijn
+
     edges = debruijn.FIXTURE_EDGES.get(fixture)
     if edges is None:
         return debruijn.Alphabet.from_string(alphabet), order, None
@@ -74,6 +78,8 @@ def _graph(alphabet: str, order: int, fixture: str | None):
 
 
 def cmd_graph(args, out) -> int:
+    from . import debruijn
+
     nodes, edges, lines = debruijn.dot_lines(
         *_graph(args.alphabet, args.order, args.subgraph),
         name=args.subgraph or f"debruijn_{args.alphabet}_{args.order}")
@@ -87,6 +93,8 @@ def cmd_graph(args, out) -> int:
 
 
 def cmd_cycle(args, out) -> int:
+    from . import debruijn
+
     try:  # an edge subset may not be Eulerian
         seq = debruijn.debruijn_sequence(*_graph(args.alphabet, args.order, args.subgraph))
     except debruijn.NotEulerianError as err:
@@ -97,6 +105,8 @@ def cmd_cycle(args, out) -> int:
 
 
 def cmd_validate(args, out) -> int:
+    from . import debruijn
+
     # a long claim does not fit in one command-line argument (128 KiB on Linux)
     cycle = sys.stdin.read().removesuffix("\n") if args.cycle == "-" else args.cycle
     covered, total, missing, extra, duplicates = debruijn.coverage(
@@ -112,6 +122,8 @@ def cmd_validate(args, out) -> int:
 
 
 def cmd_search(args, out) -> int:
+    from . import search
+
     result = search.search_k(args.k, search.SearchBounds(args.bound))
     _write_csv(out, args.out, [result])
     if result.skipped:
@@ -123,6 +135,8 @@ def cmd_search(args, out) -> int:
 
 
 def cmd_scan(args, out) -> int:
+    from . import search
+
     if args.k_from > args.k_to:
         raise search.SearchBoundsError(
             f"--from {args.k_from} is greater than --to {args.k_to}")
@@ -169,6 +183,8 @@ def _utf8_lines(fh):
 
 
 def cmd_verify_corpus(args, out) -> int:
+    import csv
+
     parse_errors = invalid = valid = 0
     try:  # an error that stops the run names file and line; main puts it on stderr
         with open(args.corpus, "rb") as fh:
@@ -289,13 +305,20 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return EXIT_CLOSED_STDOUT  # the reader is gone: there is no one to tell
     except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        _error(err)
         return EXIT_USAGE
+
+
+def _error(reason):
+    """The `error:` line on stderr.  With fd 2 closed at start-up sys.stderr
+    is None, and print(file=None) would write to stdout: then it goes nowhere."""
+    if sys.stderr is not None:
+        print(f"error: {reason}", file=sys.stderr)
 
 
 def entrypoint():
     if sys.stdout is None:  # fd 1 was closed at start-up: not a reader that went away
-        print("error: stdout is closed", file=sys.stderr)
+        _error("stdout is closed")
         sys.exit(EXIT_USAGE)
     sys.stdout.reconfigure(write_through=False)  # PYTHONUNBUFFERED sets it: a syscall a line
     code = main()

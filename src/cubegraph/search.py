@@ -1,8 +1,9 @@
 """Bounded search and exact verification of x^3 + y^3 + z^3 = k.
 
 Two algorithms, one per query shape.  One k (`search_k`) uses the divisor
-method: x + y divides k - z^3, so for each d = |x + y| only the cube roots of
-k mod d are tried as z, about B log B candidates in all.  A window of k
+method: x + y divides k - z^3, so only the d = |x + y| for which k is a cube
+mod d are walked, and for each only the cube roots of k mod d are tried as z,
+within the window of z that |x - y| <= 2B - d leaves.  A window of k
 (`scan_range`) uses one sweep: the cube table is built once, and for each z in
 [-B, B] a two-pointer pass over it collects every pair x <= y <= z whose
 x^3 + y^3 falls in [k_lo - z^3, k_hi - z^3], so the whole window costs
@@ -15,6 +16,7 @@ literature-scale solutions with 16+ digit terms check exactly.
 """
 
 from collections import defaultdict, namedtuple
+from itertools import compress
 from math import isqrt
 
 from .residues import TWO_CUBE_CLASSES, is_feasible, label_solution
@@ -22,11 +24,10 @@ from .residues import TWO_CUBE_CLASSES, is_feasible, label_solution
 # The cap on `search` (one k, divisor method).  Its worst cases are k = 0 and
 # the cubes: z^3 = k mod d has many roots when k shares small prime factors
 # with d, and they have about B + 1 hits, each rechecked and printed.  At the
-# cap, `search 0 --bound 100000` took 6.4-9.4 s at 81 MB peak RSS (6.1M
-# candidates), `search 27000 --bound 100000` (30^3) 9.0-10.0 s at 82 MB
-# (7.4M), and `search 33 --bound 100000` 1.0-1.5 s at 25 MB (1.9M, no hits;
-# one core of a 2-vCPU x86-64 machine, CPython 3.11).  The candidate count
-# grows as about B log B, a little faster for k = 0 and the cubes.
+# cap, `search 0 --bound 100000` took 2.7 s at 43 MB peak RSS (3.7M
+# candidates), `search 27000 --bound 100000` (30^3) 3.0-3.1 s at 42 MB
+# (4.4M), and `search 33 --bound 100000` 0.4 s at 21 MB (0.4M, no hits;
+# one core of a 2-vCPU x86-64 machine, CPython 3.11).
 MAX_SEARCH_BOUND = 100_000
 
 # The cap on `scan` (a k window, one sweep).  The sweep takes up to
@@ -84,10 +85,11 @@ class Representation(namedtuple("Representation", "x y z k path")):
 
 
 class SearchStats(namedtuple("SearchStats", "pairs_scanned z_pruned", defaults=(0, 0))):
-    """Work counts of one `search_k`: `pairs_scanned` is the (d, z) candidates
-    that reached the perfect-square test, and `z_pruned` the candidates the
-    mod-9 sieve dropped before it.  Both are 0 for a k skipped as infeasible
-    and for every `scan_range` result, whose sweep shares its work across k;
+    """Work counts of one `search_k`.  A candidate is a live d and a z in
+    d's window with d | k - z^3: `pairs_scanned` is the candidates that
+    reached the perfect-square test, and `z_pruned` those the mod-9 sieve
+    dropped before it.  Both are 0 for a k skipped as infeasible and for
+    every `scan_range` result, whose sweep shares its work across k;
     `_sweep` returns its own two counts, two-pointer steps and z values pruned."""
 
     __slots__ = ()
@@ -136,13 +138,25 @@ def _verified(k: int, triples: list[tuple[int, int, int]]) -> tuple[Representati
     return tuple(Representation(x, y, z, k) for x, y, z in sorted(triples))
 
 
-def _smallest_prime_factors(n: int) -> list[int]:
-    """spf[m] is the smallest prime factor of m, for 2 <= m <= n."""
-    spf = list(range(n + 1))
-    small = [p for p in range(2, isqrt(n) + 1) if all(p % q for q in range(2, isqrt(p) + 1))]
-    for p in reversed(small):  # the smallest prime writes last, so it wins
-        spf[p * p::p] = [p] * len(range(p * p, n + 1, p))
-    return spf
+def _prime_sieve(n: int) -> bytearray:
+    """is_prime[m] is 1 when m is prime and 0 otherwise, for 0 <= m <= n."""
+    is_prime = bytearray((b"\0\0" + b"\1" * (n - 1))[:n + 1])
+    for p in range(2, isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return is_prime
+
+
+def _icbrt(n: int) -> int:
+    """The largest z with z^3 <= n: a float estimate, made exact with integer cubes."""
+    z = round(abs(n) ** (1 / 3))
+    if n < 0:
+        z = -z
+    while z * z * z > n:
+        z -= 1
+    while (z + 1) ** 3 <= n:
+        z += 1
+    return z
 
 
 def _cube_roots_mod_prime(k: int, p: int) -> list[int]:
@@ -197,14 +211,19 @@ def search_k(k: int, bounds: SearchBounds | int) -> SearchResult:
     Divisor method (A. R. Booker, "Cracking the problem with 33", Res. Number
     Theory 5, 2019; A. R. Booker and A. V. Sutherland, "On a question of
     Mordell", PNAS 118, 2021): k - z^3 = x^3 + y^3 = (x + y)(x^2 - xy + y^2),
-    so d = |x + y| divides k - z^3 and z is a cube root of k mod d.  For each
-    d in 1..2B, z steps by d from each of those roots through [-B, B], less
-    the z < -d/2 that cannot be the largest term; then
-    x + y = d sign(k - z^3), xy = (d^2 - q) / 3 with q = |k - z^3| / d, and
-    x, y are the roots of a quadratic whose discriminant (4q - d^2) / 3 must
-    be a perfect square.  Only hits with z the largest term are kept, so each
-    multiset comes out once.  d = 0 leaves z^3 = k and the family (-t, t, z).
-    A k beyond 3B^3 comes back empty without work: no box sum reaches it."""
+    so d = |x + y| divides k - z^3 and z is a cube root of k mod d.  The d in
+    1..2B are walked depth first as products of prime powers in increasing
+    prime order, and only those for which k is a cube mod d are visited: a
+    child d p^e takes its roots from d's by one CRT step, and a p^e with no
+    root ends p.  4|k - z^3| = d(d^2 + 3(x - y)^2) and |x - y| <= 2B - d, so
+    for each d, z steps by d from each root through the exact window
+    4|k - z^3| <= d(3(2B - d)^2 + d^2), less the z outside [-B, B] or below
+    -d/2, which cannot be the largest term.  Then x + y = d sign(k - z^3),
+    xy = (d^2 - q) / 3 with q = |k - z^3| / d, and x, y are the roots of a
+    quadratic whose discriminant (4q - d^2) / 3 must be a perfect square.
+    Only hits with z the largest term are kept, so each multiset comes out
+    once.  d = 0 leaves z^3 = k and the family (-t, t, z).  A k beyond 3B^3
+    comes back empty without work: no box sum reaches it."""
     if isinstance(bounds, int):
         bounds = SearchBounds(bounds)
     if not is_feasible(k):
@@ -216,24 +235,36 @@ def search_k(k: int, bounds: SearchBounds | int) -> SearchResult:
     c = round(k ** (1 / 3)) if 0 <= k <= B ** 3 else 0
     if c ** 3 == k:  # d = 0: x = -y, and z = c is the largest term for 0 <= y <= c
         hits.extend((-t, t, c) for t in range(c + 1))
-    spf = _smallest_prime_factors(2 * B)
+    top = 2 * B
+    primes = list(compress(range(top + 1), _prime_sieve(top)))
     prime_power_roots = {}
     pairs = pruned = 0
-    for d in range(1, 2 * B + 1):
-        roots, mod, m = [0], 1, d
-        while m > 1 and roots:  # CRT over the prime powers of d
-            p, e = spf[m], 0
-            while m % p == 0:
-                m, e = m // p, e + 1
-            pe = p ** e
-            if pe not in prime_power_roots:
-                prime_power_roots[pe] = _cube_roots_mod_prime_power(k, p, e)
-            inv = pow(mod, -1, pe)
-            roots = [r + mod * ((u - r) * inv % pe) for r in roots for u in prime_power_roots[pe]]
-            mod *= pe
-        lo = max(-B, -(d // 2))  # z >= y >= x and x + y >= -d
+    stack = [(1, [0], 0)]  # d, the cube roots of k mod d, the index of the least prime d may gain
+    while stack:
+        d, roots, i = stack.pop()
+        for j in range(i, len(primes)):
+            p = primes[j]
+            if d * p > top:
+                break
+            pe, e = p, 1
+            while d * pe <= top:
+                if pe not in prime_power_roots:
+                    prime_power_roots[pe] = _cube_roots_mod_prime_power(k, p, e)
+                pe_roots = prime_power_roots[pe]
+                if not pe_roots:
+                    break  # no root mod p^e, so none mod a higher power of p
+                inv = pow(d, -1, pe)
+                crt = [r + d * ((u - r) * inv % pe) for r in roots for u in pe_roots]
+                stack.append((d * pe, crt, j + 1))
+                pe, e = pe * p, e + 1
+        w = d * (3 * (top - d) ** 2 + d * d) // 4  # the window is k - w <= z^3 <= k + w
+        lo, hi = max(-B, -(d // 2)), B  # z >= y >= x and x + y >= -d
+        if lo ** 3 < k - w:
+            lo = -_icbrt(w - k)
+        if hi ** 3 > k + w:
+            hi = _icbrt(k + w)
         for r in roots:
-            for z in range(lo + (r - lo) % d, B + 1, d):
+            for z in range(lo + (r - lo) % d, hi + 1, d):
                 n = k - z * z * z
                 if n % 9 not in TWO_CUBE_CLASSES:
                     pruned += 1

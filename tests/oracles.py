@@ -1,9 +1,12 @@
 """Reference builders shared by the test modules."""
 
+import csv
+import io
 from collections import Counter, namedtuple
 from itertools import product
 
 from cubegraph.debruijn import DeBruijnGraph, check_order
+from cubegraph.residues import class_of
 
 
 def build_graph(alphabet, order) -> DeBruijnGraph:
@@ -83,3 +86,14 @@ def spelled_labels(x: int, y: int, z: int) -> tuple[str, str]:
         return str(terms[0]) + "".join(f"+{t}" if t >= 0 else str(t) for t in terms[1:])
 
     return spell(path), spell(signed)
+
+
+def search_csv(results) -> str:
+    """The CSV of SearchResults as csv.writer writes it: the header, then a
+    row k,x,y,z,class,path per representation."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["k", "x", "y", "z", "class", "path"])
+    writer.writerows([rep.k, rep.x, rep.y, rep.z, class_of(rep.k), rep.path]
+                     for res in results for rep in res.representations)
+    return buf.getvalue()

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cubegraph import cli, debruijn, residues, search
 
-from oracles import build_graph, spelled_labels, to_dot
+from oracles import build_graph, search_csv, spelled_labels, to_dot
 
 TERNARY_CYCLE_23 = "00088808881118100010110"
 
@@ -421,6 +421,29 @@ def test_scan_worker_count_does_not_change_bytes(capsys, tmp_path):
     assert run(capsys, "scan", "--from", "-5", "--to", "12", "--bound", "30",
                "--out", str(b), "--workers", "3")[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(0, 60), st.integers(1, 30))
+@example(0, 0, 30)
+@example(-3 * 30 ** 3, 0, 30)
+def test_search_and_scan_csv_match_the_csv_writer(tmp_path_factory, k, width, bound):
+    path = tmp_path_factory.getbasetemp() / "rows.csv"
+    for argv, results in [
+        (["search", str(k), "--bound", str(bound)], [search.search_k(k, bound)]),
+        (["scan", "--from", str(k), "--to", str(k + width), "--bound", str(bound)],
+         search.scan_range(search.SearchBounds(bound, (k, k + width)))),
+    ]:
+        want = search_csv(results)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert out.getvalue().startswith(want), argv
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv + ["--out", str(path)]) == 0
+        assert path.read_bytes() == want.encode("utf-8"), argv
+        assert out.getvalue().startswith(f"wrote {len(want.splitlines()) - 1} row(s) to {path}\n")
 
 
 def test_scan_csv_is_rereadable_by_verify_corpus(capsys, tmp_path):
@@ -942,6 +965,27 @@ def test_cli_imports_only_the_standard_library():
     assert "inspect" not in modules
 
 
+def test_each_subcommand_loads_only_its_own_layer(tmp_path):
+    # each process compiles what it imports; a subcommand needs one layer
+    corpus = _good_corpus(tmp_path / "c.csv", 10)
+    code = ("import sys; from cubegraph import cli; cli.build_parser(); "
+            "sys.argv[1:] and cli.main(sys.argv[1:]); "
+            "print(' '.join(m for m in ('cubegraph.search', 'cubegraph.debruijn', 'csv') "
+            "if m in sys.modules), file=sys.stderr)")
+    for argv, loaded in [
+        ((), ""),
+        (("search", "33", "--bound", "20"), "cubegraph.search"),
+        (("scan", "--from", "1", "--to", "9", "--bound", "9"), "cubegraph.search"),
+        (("graph", "--order", "2"), "cubegraph.debruijn"),
+        (("cycle", "--alphabet", "01"), "cubegraph.debruijn"),
+        (("validate", "0110", "--alphabet", "01", "--order", "2"), "cubegraph.debruijn"),
+        (("verify-corpus", str(corpus)), "csv"),
+    ]:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, env=_cli_env(False), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, loaded + "\n"), argv
+
+
 def test_the_package_imports_only_the_standard_library():
     # dependencies = []: every absolute import in src/cubegraph names a stdlib module
     package = Path(cli.__file__).resolve().parent
@@ -1056,3 +1100,19 @@ def test_a_run_started_with_stdout_closed_is_one_error_line():
     proc = subprocess.run(["sh", "-c", 'exec "$0" -m cubegraph.cli classes >&-', sys.executable],
                           stderr=subprocess.PIPE, env=_cli_env(False), timeout=60)
     assert (proc.returncode, proc.stderr) == (cli.EXIT_USAGE, b"error: stdout is closed\n")
+
+
+@pytest.mark.parametrize("redirects, argv", [
+    ("2>&-", ("search", "1", "--bound", "99999999999")),
+    ("2>&-", ("scan", "--from", "2", "--to", "1", "--bound", "5")),
+    (">&- 2>&-", ("classes",)),
+])
+def test_a_run_started_with_stderr_closed_writes_no_error_line_on_stdout(tmp_path, redirects,
+                                                                          argv):
+    # the interpreter sets sys.stderr to None when fd 2 is closed at start-up,
+    # and print(file=None) writes to stdout
+    out = tmp_path / "out.txt"
+    proc = subprocess.run(["sh", "-c", f'exec "$0" -m cubegraph.cli "$@" >"$OUT" {redirects}',
+                           sys.executable, *argv],
+                          env=dict(_cli_env(False), OUT=str(out)), timeout=60)
+    assert (proc.returncode, out.read_bytes()) == (cli.EXIT_USAGE, b"")

@@ -221,11 +221,14 @@ def test_sweep_cost_model(b):
 @pytest.mark.parametrize("b", [1, 2, 5, 17])
 @pytest.mark.parametrize("k", [0, 2, 29, -33])
 def test_divisor_cost_model(k, b):
-    # a candidate is a d in 1..2b and a z in [-b, b], z >= -d/2, with d | k - z^3;
-    # the mod-9 sieve drops those whose k - z^3 no two cubes reach.  A k
-    # beyond 3b^3, which no box sum reaches, has none
+    # a candidate is a d in 1..2b and a z in [-b, b], z >= -d/2, with d | k - z^3
+    # and 4|k - z^3| <= d(3(2b - d)^2 + d^2), since |x - y| <= 2b - d; the
+    # mod-9 sieve drops those whose k - z^3 no two cubes reach.  A k beyond
+    # 3b^3, which no box sum reaches, has none
     candidates = [z for d in range(1, 2 * b + 1) for z in range(max(-b, -(d // 2)), b + 1)
-                  if (k - z ** 3) % d == 0] if abs(k) <= 3 * b ** 3 else []
+                  if (k - z ** 3) % d == 0
+                  and 4 * abs(k - z ** 3) <= d * (3 * (2 * b - d) ** 2 + d * d)
+                  ] if abs(k) <= 3 * b ** 3 else []
     stats = search_k(k, b).stats
     assert stats.pairs_scanned + stats.z_pruned == len(candidates)
     assert stats.z_pruned == sum((k - z ** 3) % 9 not in TWO_CUBE_CLASSES for z in candidates)
@@ -312,6 +315,10 @@ def test_scan_range_matches_oracle_property(bound, start, width):
 @example(-2, 60)
 @example(-33, 60)
 @example(-42, 60)
+@example(-64_000, 60)  # a cube whose root is negative
+@example(3 * 60 ** 3, 60)  # the largest sum the box reaches, (60, 60, 60) alone
+@example(-3 * 60 ** 3, 60)
+@example(3 * 60 ** 3 - 1, 60)  # one below it: at d = 120 the window is z = 60 alone
 def test_divisor_search_matches_the_sweep(k, bound):
     found, _, _ = search_module._sweep(k, k, bound)
     assert found_triples(search_k(k, bound)) == sorted(found[k])
@@ -326,7 +333,7 @@ def test_search_beyond_every_box_sum_returns_at_once(monkeypatch, b):
     reach = 3 * b ** 3  # the largest |x^3 + y^3 + z^3| in the box, at (b, b, b) alone
     assert found_triples(search_k(reach, b)) == [(b, b, b)]
     assert found_triples(search_k(-reach, b)) == [(-b, -b, -b)]
-    monkeypatch.setattr(search_module, "_smallest_prime_factors", _no_work)
+    monkeypatch.setattr(search_module, "_prime_sieve", _no_work)
     for k in (reach + 1, reach + 2, -reach - 1, -reach - 2, 10 ** 39 + 1):
         result = search_k(k, b)
         assert (result.representations, result.skipped) == ((), not is_feasible(k))
@@ -350,9 +357,23 @@ def test_scan_sweeps_only_the_k_a_box_reaches(monkeypatch):
         assert all(r.representations == () for r in results)
 
 
-def test_smallest_prime_factors():
-    spf = search_module._smallest_prime_factors(2000)
-    assert all(spf[m] == next(q for q in range(2, m + 1) if m % q == 0) for m in range(2, 2001))
+def test_prime_sieve_matches_trial_division():
+    for n in (0, 1, 2, 3, 4, 2000):
+        is_prime = search_module._prime_sieve(n)
+        assert len(is_prime) == n + 1
+        assert [m for m in range(n + 1) if is_prime[m]] == \
+            [m for m in range(2, n + 1) if all(m % q for q in range(2, isqrt(m) + 1))], n
+
+
+@settings(max_examples=300)
+@given(st.integers(-200_000, 200_000), st.integers(-1, 1))
+@example(200_000, -1)
+@example(-200_000, 1)
+def test_integer_cube_root_is_exact_next_to_a_cube(t, offset):
+    # the window ends come from float cube roots, corrected with exact cubes
+    n = t ** 3 + offset
+    z = search_module._icbrt(n)
+    assert z ** 3 <= n < (z + 1) ** 3
 
 
 def test_cube_roots_mod_prime_powers_match_brute_force():

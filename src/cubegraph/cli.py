@@ -21,6 +21,8 @@ the modules its subcommand needs.
 """
 
 import argparse
+import io
+import itertools
 import os
 import sys
 
@@ -107,6 +109,8 @@ def cmd_cycle(args, out) -> int:
 def cmd_validate(args, out) -> int:
     from . import debruijn
 
+    if args.cycle == "-" and sys.stdin is None:  # fd 0 was closed at start-up
+        raise ValueError("stdin is closed")
     # a long claim does not fit in one command-line argument (128 KiB on Linux)
     cycle = sys.stdin.read().removesuffix("\n") if args.cycle == "-" else args.cycle
     covered, total, missing, extra, duplicates = debruijn.coverage(
@@ -166,20 +170,35 @@ def _row_dict(header: list[str], row: list[str]) -> dict:
     return d
 
 
+_READ_SIZE = 1 << 14  # 64 KiB blocks were no faster and raised peak RSS
+
+
 def _utf8_lines(fh):
     """The lines of the binary file fh as csv.reader counts them, ended by
-    \n, \r\n or \r, each decoded from UTF-8 on its own.  So a line that is
-    not UTF-8 raises only when csv.reader asks for it, after every record
-    before it, and the error's position counts from the start of that line.
-    A byte-order mark is not part of the first column's name: it is dropped
-    from line 1, after decoding, so its 3 bytes count in a position there."""
-    lines = (line.decode("utf-8")
-             for chunk in fh  # ends at \n, and may hold lines ended by \r
-             for line in chunk.splitlines(keepends=True))
-    first = next(lines, None)
-    if first is not None:
-        yield first.removeprefix("\ufeff")
-        yield from lines
+    \n, \r\n or \r, decoded from UTF-8 a block of whole lines at a time:
+    _READ_SIZE bytes and the rest of the line they end in.  In a block that is
+    not UTF-8 the lines before the bad one come first, then each line is
+    decoded on its own, so the bad line raises only when csv.reader asks for
+    it, after every record before it, and the error's position counts from
+    the start of that line.  A byte-order mark is not part of the first
+    column's name: it is dropped from line 1, after decoding, so its 3 bytes
+    count in a position there."""
+    def blocks():
+        bom = "\ufeff"
+        while data := fh.read(_READ_SIZE) + fh.readline():  # ends at \n or at EOF
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as err:
+                cut = max(data.rfind(b"\n", 0, err.start), data.rfind(b"\r", 0, err.start)) + 1
+                yield io.StringIO(data[:cut].decode("utf-8").removeprefix(bom), newline="")
+                yield (line.decode("utf-8") for line in data[cut:].splitlines(keepends=True))
+            else:
+                # newline="": lines end at \n, \r\n and \r only, as in csv.reader,
+                # not at the other line breaks of str.splitlines, such as \x1c
+                yield io.StringIO(text.removeprefix(bom), newline="")
+            bom = ""
+
+    return itertools.chain.from_iterable(blocks())
 
 
 def cmd_verify_corpus(args, out) -> int:
@@ -209,16 +228,14 @@ def cmd_verify_corpus(args, out) -> int:
                     out.write(f"line {i}: parse error in {_row_dict(header, row)!r}\n")
                     continue
                 try:
-                    path = residues.label_solution(x, y, z, k)  # same for any term order
+                    path, signed = residues.labels(x, y, z, k)  # same for any term order
                 except residues.CubeSumMismatch as err:
                     invalid += 1
                     out.write(f"line {i}: k={k} ({x},{y},{z}) "
                               f"INVALID sum={residues.exact_str(err.actual_sum)}\n")
                     continue
                 valid += 1
-                signed = residues.signed_spelling_for(x, y, z)
-                out.write(f"line {i}: k={k} ({x},{y},{z}) OK "
-                          f"class={residues.class_of(k)} "
+                out.write(f"line {i}: k={k} ({x},{y},{z}) OK class={k % 9} "
                           f"path={path} signed={signed}\n")
     except csv.Error as err:  # e.g. a field over csv.field_size_limit()
         raise ValueError(f"{args.corpus}: line {reader.line_num}: {err}") from None

@@ -5,9 +5,10 @@ cubes can only land in residue classes reachable by three values from
 {0, 1, 8}.  Classes 4 and 5 are unreachable, which rules out
 x^3 + y^3 + z^3 = k for any k in those classes.  Negative inputs use
 mathematical modulus (results always in 0..8).  Residue triples are sorted
-tuples of ints.  A solution's label is the string that is printed, such as
-'8+8+8' for its residue triple and '-1-1+8' for its signed spelling: two
-tables built at import map the terms' residues to every label there is.
+tuples of ints.  A solution's labels are the strings that are printed, such
+as '8+8+8' for its residue triple and '-1-1+8' for its signed spelling: one
+table built at import maps the terms' signed residues to every pair of labels
+there is, so each term is reduced mod 9 once.
 """
 
 from itertools import combinations_with_replacement, product
@@ -84,29 +85,29 @@ def signed_spellings(triple: tuple[int, int, int]) -> list[tuple[int, int, int]]
     return sorted({tuple(sorted(c)) for c in product(*choices)})
 
 
-# Every label a solution can get, built once: the spelled residue triple keyed
-# by the terms' residues in term order, the spelled signed spelling keyed by
-# their signed entries.  A term's signed entry is _ENTRY[n < 0][n % 9]: its
-# cube residue, with 8 written -1 when the term is negative.
-_TRIPLE = {t: spell(sorted(t)) for t in product(sorted(CUBIC_RESIDUES), repeat=3)}
-_SPELLING = {e: spell(sorted(e)) for e in product((-1, 0, 1, 8), repeat=3)}
+# Every label pair a solution can get, built once and keyed by the terms'
+# signed entries in term order.  A term's signed entry is _ENTRY[n < 0][n % 9]:
+# its cube residue, with 8 written -1 when the term is negative.  The path
+# label writes each -1 back as 8.
 _ENTRY = (_CUBE_RESIDUE, tuple(-1 if r == 8 else r for r in _CUBE_RESIDUE))
+_LABELS = {e: (spell(sorted(8 if t == -1 else t for t in e)), spell(sorted(e)))
+           for e in product((-1, 0, 1, 8), repeat=3)}
 
 
-def signed_spelling_for(x: int, y: int, z: int) -> str:
-    """Signed spelling of a concrete solution, such as '-1-1+8': residue 8 is
-    written -1 when the underlying integer is negative (presentation choice,
-    not arithmetic)."""
-    return _SPELLING[_ENTRY[x < 0][x % 9], _ENTRY[y < 0][y % 9], _ENTRY[z < 0][z % 9]]
-
-
-def label_solution(x: int, y: int, z: int, k: int) -> str:
-    """Spelled residue triple of a claimed solution x^3 + y^3 + z^3 = k,
-    such as '8+8+8'.
+def labels(x: int, y: int, z: int, k: int) -> tuple[str, str]:
+    """The (path, signed) labels of a claimed solution x^3 + y^3 + z^3 = k,
+    such as ('8+8+8', '-1-1+8'): the spelled residue triple, and its signed
+    spelling, where residue 8 is written -1 when the term is negative (a
+    presentation choice, not arithmetic).
 
     Raises CubeSumMismatch when the cubes do not sum to k (corrupt row).
-    The result is always the spelling of a member of decompose(class_of(k)).
+    The path is always the spelling of a member of decompose(class_of(k)).
     """
     if x**3 + y**3 + z**3 != k:
         raise CubeSumMismatch(x, y, z, k)
-    return _TRIPLE[_CUBE_RESIDUE[x % 9], _CUBE_RESIDUE[y % 9], _CUBE_RESIDUE[z % 9]]
+    return _LABELS[_ENTRY[x < 0][x % 9], _ENTRY[y < 0][y % 9], _ENTRY[z < 0][z % 9]]
+
+
+def label_solution(x: int, y: int, z: int, k: int) -> str:
+    """The path label of labels(x, y, z, k), such as '8+8+8'."""
+    return labels(x, y, z, k)[0]

@@ -88,6 +88,20 @@ def spelled_labels(x: int, y: int, z: int) -> tuple[str, str]:
     return spell(path), spell(signed)
 
 
+def utf8_lines(fh):
+    """The lines of the binary file fh as csv.reader counts them, ended by
+    \n, \r\n or \r, each decoded from UTF-8 on its own, with a byte-order
+    mark dropped from line 1 after decoding.  The program decodes a block of
+    lines at a time (cli._utf8_lines); the tests compare the two."""
+    lines = (line.decode("utf-8")
+             for chunk in fh  # ends at \n, and may hold lines ended by \r
+             for line in chunk.splitlines(keepends=True))
+    first = next(lines, None)
+    if first is not None:
+        yield first.removeprefix("\ufeff")
+        yield from lines
+
+
 def search_csv(results) -> str:
     """The CSV of SearchResults as csv.writer writes it: the header, then a
     row k,x,y,z,class,path per representation."""

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from cubegraph import cli, debruijn, residues, search
 
-from oracles import build_graph, search_csv, spelled_labels, to_dot
+from oracles import build_graph, search_csv, spelled_labels, to_dot, utf8_lines
 
 TERNARY_CYCLE_23 = "00088808881118100010110"
 
@@ -802,15 +803,15 @@ def test_verify_corpus_keeps_the_lines_before_a_csv_error(capsys, monkeypatch, t
 
 
 def test_an_error_mid_run_comes_after_the_lines_already_produced(capsys, monkeypatch, tmp_path):
-    real, calls = residues.signed_spelling_for, []
+    real, calls = residues.labels, []
 
-    def fail_on_second(x, y, z):
+    def fail_on_second(x, y, z, k):
         calls.append(x)
         if len(calls) == 2:
             raise ValueError("second row")
-        return real(x, y, z)
+        return real(x, y, z, k)
 
-    monkeypatch.setattr(residues, "signed_spelling_for", fail_on_second)
+    monkeypatch.setattr(residues, "labels", fail_on_second)
     corpus = tmp_path / "corpus.csv"
     corpus.write_text("k,x,y,z\n29,1,1,3\n29,1,1,3\n")
     assert run(capsys, "verify-corpus", str(corpus)) == \
@@ -890,6 +891,103 @@ def test_verify_corpus_reads_a_file_and_a_pipe_alike(capsys, tmp_path, end, line
     from_pipe, path = _run_from_a_pipe(capsys, data)
     assert from_file == (2, kept, f"error: {corpus}: {message}\n")
     assert from_pipe == (2, kept, f"error: {path}: {message}\n")
+
+
+def _drain(lines):
+    """The lines an iterator yields, and the type and message of the error
+    that ends it, or None."""
+    got = []
+    try:
+        got.extend(lines)
+    except Exception as err:
+        return got, (type(err), str(err))
+    return got, None
+
+
+_PIECES = [b",", b"1", b"\r", b"\n", b"\r\n", b"\xef\xbb\xbf", b"\xff", b"\xe2\x82",
+           b"\xe2\x82\xac"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map(b"".join), st.integers(1, 64))
+@example(b"\xef\xbb\xbf", 1)
+@example(b"1\n\xef\xbb\xbf1\n", 1)  # a BOM past line 1 is data
+@example(b"\xef\xbb\xbf1\r1\xff", 64)  # line 1 is good: its BOM goes
+@example(b"1\r\n1\xff\r\n", 2)  # the block ends at the \r, the line at the \n after it
+@example(b"1\r1\r\xe2\x82\n1", 1)
+def test_block_reader_yields_the_lines_of_the_per_line_reader(data, size):
+    with mock.patch.object(cli, "_READ_SIZE", size):
+        got, error = _drain(cli._utf8_lines(io.BytesIO(data)))
+    want, want_error = _drain(utf8_lines(io.BytesIO(data)))
+    # a file that is only a BOM is one empty line to the per-line reader and
+    # none to the block reader: csv.reader reads both as no header
+    assert (got, error) == ([line for line in want if line], want_error)
+
+
+_ROWS = b"k,x,y,z\n" + b"29,1,1,3\n" * 1800  # 16,208 bytes, lines 1 to 1801
+
+
+def _at(start, rest):
+    """_ROWS, a good row padded to end just before byte `start` (line 1802),
+    then rest from byte `start` on (from line 1803)."""
+    pad = start - len(_ROWS) - len(b"29,1,1,3\n")
+    return _ROWS + b"29,1,1," + b" " * pad + b"3\n" + rest
+
+
+_BAD_LINE = "line 1803: 'utf-8' codec can't decode "
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+@pytest.mark.parametrize("data, rows, error", [
+    *[(_at(at - 4, b"1,2,\xff,3\n29,1,1,3\n"), 1801,
+       _BAD_LINE + "byte 0xff in position 4: invalid start byte") for at in (16383, 16384, 16385)],
+    (_at(16383 - 4, b"1,2,\xe2\x82,3\n"), 1801,  # a 3-byte sequence cut at the boundary
+     _BAD_LINE + "bytes in position 4-5: invalid continuation byte"),
+    (_at(16383 - 8, b"29,1,1,3\r\n29,1,1,3\n"), 1803, None),  # the \r is byte 16383
+    (b"k,x,y,z\n29,1,\"1" + b" \n" * 20_000 + b'",3\n29,1,1,3\n', 2, None),  # a 40 KB field
+    (b"\r".join([b"k,x,y,z", *[b"29,1,1,3"] * 3000, b"29,1,\xff,3", b"29,1,1,3"]), 3000,
+     "line 3002: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"),
+    (b"", 0, "header must contain columns k,x,y,z"),
+    (b"\xef\xbb\xbf", 0, "header must contain columns k,x,y,z"),
+], ids=["ff-at-16383", "ff-at-16384", "ff-at-16385", "cut-sequence", "crlf-across", "long-field",
+        "cr-only", "empty", "bom-only"])
+def test_verify_corpus_reads_across_block_boundaries(capsys, monkeypatch, tmp_path, source,
+                                                      data, rows, error):
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_bytes(data)
+    with monkeypatch.context() as m:  # the run with each line decoded on its own
+        m.setattr(cli, "_utf8_lines", utf8_lines)
+        want = run(capsys, "verify-corpus", str(corpus))
+    if source == "file":
+        path, got = str(corpus), run(capsys, "verify-corpus", str(corpus))
+    elif not Path("/dev/fd").is_dir():
+        pytest.skip("needs /dev/fd")
+    else:
+        got, path = _run_from_a_pipe(capsys, data)
+    assert got == (want[0], want[1], want[2].replace(str(corpus), path))
+    code, out, err = got
+    assert out.count(" OK ") == rows
+    if error is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (2, f"error: {path}: {error}\n")
+
+
+def test_verify_corpus_checks_the_benchmark_corpus(capsys, monkeypatch, tmp_path):
+    # about 124 KB: 8 blocks of whole lines
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+
+    cp = corpus.generate(7, 2000)
+    path = tmp_path / "corpus.csv"
+    path.write_text(cp.text, encoding="utf-8")
+    code, out, err = run(capsys, "verify-corpus", str(path))
+    *lines, summary = out.splitlines()
+    assert (code, err, len(lines), summary) == (cp.expected_code, "", len(cp.rows),
+                                                cp.expected_summary)
+    for i, ((k, x, y, z, valid), line) in enumerate(zip(cp.rows, lines)):
+        labels = "{} signed={}".format(*spelled_labels(x, y, z)) if valid else ""
+        assert line == cp.expected_line(i) + labels
 
 
 def test_search_rejects_oversized_bound(capsys):
@@ -1100,6 +1198,15 @@ def test_a_run_started_with_stdout_closed_is_one_error_line():
     proc = subprocess.run(["sh", "-c", 'exec "$0" -m cubegraph.cli classes >&-', sys.executable],
                           stderr=subprocess.PIPE, env=_cli_env(False), timeout=60)
     assert (proc.returncode, proc.stderr) == (cli.EXIT_USAGE, b"error: stdout is closed\n")
+
+
+def test_validate_from_a_closed_stdin_is_one_error_line():
+    # the interpreter sets sys.stdin to None when fd 0 is closed at start-up
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m cubegraph.cli validate - --alphabet 01 '
+                           '--order 2 <&-', sys.executable],
+                          capture_output=True, env=_cli_env(False), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (cli.EXIT_USAGE, b"", b"error: stdin is closed\n")
 
 
 @pytest.mark.parametrize("redirects, argv", [

@@ -15,7 +15,7 @@ from cubegraph.residues import (
     exact_str,
     is_feasible,
     label_solution,
-    signed_spelling_for,
+    labels,
     signed_spellings,
     spell,
 )
@@ -115,10 +115,10 @@ def test_spelling_strings():
     assert spell((-1, -1, -1)) == "-1-1-1"
 
 
-def test_signed_spelling_for_uses_integer_signs():
-    assert signed_spelling_for(-265, -262, 332) == "-1-1+8"
-    assert signed_spelling_for(2, 2, -1) == "-1+8+8"
-    assert signed_spelling_for(1, 1, 3) == "0+1+1"
+def test_labels_use_integer_signs():
+    assert labels(-265, -262, 332, 15) == ("8+8+8", "-1-1+8")
+    assert labels(2, 2, -1, 15) == ("8+8+8", "-1+8+8")
+    assert labels(1, 1, 3, 29) == ("0+1+1", "0+1+1")
 
 
 def test_label_solution_examples():
@@ -151,15 +151,22 @@ terms = st.one_of(st.integers(-100, 100), st.integers(-10**40, 10**40))
 # Each example spells three terms: together they cover every
 # (n mod 9, sign) pair, n = r + 9 for the positive and n = r - 9 for the
 # negative terms with r in 0..8.
-@example(9, 10, 11)
-@example(12, 13, 14)
-@example(15, 16, 17)
-@example(-9, -8, -7)
-@example(-6, -5, -4)
-@example(-3, -2, -1)
-@given(terms, terms, terms)
-def test_signed_spelling_for_matches_arithmetic(x, y, z):
-    assert signed_spelling_for(x, y, z) == spelled_labels(x, y, z)[1]
+@example(9, 10, 11, 0)
+@example(12, 13, 14, 0)
+@example(15, 16, 17, 0)
+@example(-9, -8, -7, 0)
+@example(-6, -5, -4, 0)
+@example(-3, -2, -1, 0)
+@example(10**21, -10**21, 1, 9)  # a sum off by a multiple of 9: same labels, still a mismatch
+@given(st.integers(-10**22, 10**22), st.integers(-10**22, 10**22), st.integers(-10**22, 10**22),
+       st.sampled_from([0, 0, 1, -1, 9]))
+def test_labels_match_arithmetic(x, y, z, off):
+    k = x**3 + y**3 + z**3 + off
+    if off:
+        with pytest.raises(CubeSumMismatch):
+            labels(x, y, z, k)
+    else:
+        assert labels(x, y, z, k) == spelled_labels(x, y, z)
 
 
 @settings(max_examples=50)
@@ -168,7 +175,7 @@ def test_signed_spelling_for_matches_arithmetic(x, y, z):
 @given(terms, terms, terms)
 def test_looked_up_labels_belong_to_their_class(x, y, z):
     k = x**3 + y**3 + z**3
-    path, signed = label_solution(x, y, z, k), signed_spelling_for(x, y, z)
+    path, signed = labels(x, y, z, k)
     assert (path, signed) == spelled_labels(x, y, z)
     assert terms_of(path) in decompose(class_of(k))
     assert terms_of(signed) in signed_spellings(terms_of(path))

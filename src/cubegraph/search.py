@@ -5,20 +5,22 @@ method: x + y divides k - z^3, so only the d = |x + y| for which k is a cube
 mod d are walked, and for each only the cube roots of k mod d are tried as z,
 within the window of z that |x - y| <= 2B - d leaves.  A window of k
 (`scan_range`) uses one sweep: the cube table is built once, and for each z in
-[-B, B] a two-pointer pass over it collects every pair x <= y <= z whose
-x^3 + y^3 falls in [k_lo - z^3, k_hi - z^3], so the whole window costs
-O(B^2 + hits) however many k it holds.  That beats one divisor search per k
-only for a wide window, of more than about B/30 values of k: at B = 3,000,
-300 k took 3.1 s by the sweep against 8.0 s by divisor searches, but 20 k
-took 2.3 s against 0.5 s (in process, one core of a 2-vCPU x86-64 machine,
-CPython 3.11).  Both find each solution multiset exactly once.  Two mod-9
-sieves prune the work: targets in class 4 or 5 are skipped outright, and a
-z whose pair target k - z^3 is unreachable by two cubic residues is dropped
-(by the sweep only for a width-1 window).  Verification is plain Python
-integers throughout, so literature-scale solutions with 16+ digit terms
-check exactly.
+[-B, B] it collects every pair x <= y <= z whose x^3 + y^3 falls in
+[k_lo - z^3, k_hi - z^3], probing only the x whose pair sums can reach it and
+finding each x's largest y by bisection.  So the whole window costs about
+0.21 B^2 probes plus its hits, however many k it holds.  That beats one
+divisor search per k only for a wide window, of more than about B/75 values
+of k: at B = 3,000, 300 k took 0.97 s by the sweep against 7.2 s by divisor
+searches, but 20 k took 0.89 s against 0.49 s (in process, one core of a
+2-vCPU x86-64 machine, CPython 3.11).  Both find each solution multiset
+exactly once.  Two mod-9 sieves prune the work: targets in class 4 or 5 are
+skipped outright, and a z whose pair target k - z^3 is unreachable by two
+cubic residues is dropped (by the sweep only for a width-1 window).
+Verification is plain Python integers throughout, so literature-scale
+solutions with 16+ digit terms check exactly.
 """
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict, namedtuple
 from itertools import compress
 from math import isqrt
@@ -34,11 +36,13 @@ from .residues import TWO_CUBE_CLASSES, is_feasible, label_solution
 # one core of a 2-vCPU x86-64 machine, CPython 3.11).
 MAX_SEARCH_BOUND = 100_000
 
-# The cap on `scan` (a k window, one sweep).  The sweep takes up to
-# (2B + 1)(2B + 2)/2 two-pointer steps for any window; k = 0 alone, from
-# which no z is pruned, takes 2B^2 + 2B + 1.  At the cap that is 2.0e8 steps,
-# measured at 31 s (6.4M steps/s, same machine); the cost grows as B^2, so
-# B = 20,000 would take about 2 minutes.
+# The cap on `scan` (a k window, one sweep).  The sweep probes at most
+# (2B + 1)(2B + 2)/2 x values, a bound met only by a window holding the whole
+# reach [-3B^3, 3B^3]; a window narrow beside B^3 takes about 0.21 B^2.  A
+# width-1 window prunes z by mod 9, except k = 0 (mod 9): k = 0 alone takes
+# 20,632,013 probes at the cap, and `scan --from 0 --to 0 --bound 10000`
+# took 12.0 s at 17 MB peak RSS (1.7M probes/s, same machine).  The cost
+# grows as B^2, so B = 20,000 would take about 50 s.
 MAX_SCAN_BOUND = 10_000
 
 # The widest k range one scan accepts.  A scan keeps one SearchResult per k
@@ -94,7 +98,7 @@ class SearchStats(namedtuple("SearchStats", "pairs_scanned z_pruned", defaults=(
     reached the perfect-square test, and `z_pruned` those the mod-9 sieve
     dropped before it.  Both are 0 for a k skipped as infeasible and for
     every `scan_range` result, whose sweep shares its work across k;
-    `_sweep` returns its own two counts, two-pointer steps and z values pruned."""
+    `_sweep` returns its own two counts, x values probed and z values pruned."""
 
     __slots__ = ()
 
@@ -105,12 +109,19 @@ SearchResult = namedtuple("SearchResult", "k representations skipped stats")
 
 def _sweep(k_lo: int, k_hi: int, B: int) -> tuple[dict[int, list[tuple[int, int, int]]], int, int]:
     """Every canonical (x, y, z) with |x|,|y|,|z| <= B and k_lo <= x^3+y^3+z^3 <= k_hi,
-    bucketed by cube sum in no particular order, plus the pairs scanned and
-    the z values pruned (only a width-1 window prunes)."""
+    bucketed by cube sum in no particular order, plus the x values probed and
+    the z values pruned (only a width-1 window prunes).
+
+    For each z, the pair sums x^3 + y^3 with x <= y <= z must fall in
+    [bot, top] = [k_lo - z^3, k_hi - z^3].  x's pair sums run from 2x^3 to
+    x^3 + z^3, so only the x with x^3 + z^3 >= bot and 2x^3 <= top are
+    probed, a range found by two bisections.  Each probe finds the largest y
+    with x^3 + y^3 <= top by one more bisection, below the last x's y since
+    y falls as x rises, then emits y downwards while the sum stays >= bot."""
     cubes = [i * i * i for i in range(-B, B + 1)]  # strictly increasing
     prune = k_lo == k_hi
     found = defaultdict(list)
-    pairs = 0
+    probes = 0
     pruned = 0
     for zi in range(2 * B + 1):
         z3 = cubes[zi]
@@ -118,23 +129,17 @@ def _sweep(k_lo: int, k_hi: int, B: int) -> tuple[dict[int, list[tuple[int, int,
         if prune and bot % 9 not in TWO_CUBE_CLASSES:
             pruned += 1
             continue
-        lo, hi = 0, zi  # x <= y <= z: pair values never exceed cubes[zi]
-        while lo <= hi:
-            pairs += 1
-            s = cubes[lo] + cubes[hi]
-            if s > top:
-                hi -= 1
-            elif s < bot:
-                lo += 1
-            else:  # every y in [lo, hi] whose pair sum stays in the window
-                x3, j = cubes[lo], hi
-                while j >= lo and x3 + cubes[j] >= bot:
-                    found[x3 + cubes[j] + z3].append((lo - B, j - B, zi - B))
-                    j -= 1
-                if s == top:  # (lo', hi) overshoots the window for every lo' > lo
-                    hi -= 1
-                lo += 1
-    return found, pairs, pruned
+        xs = range(bisect_left(cubes, bot - z3, 0, zi + 1), bisect_right(cubes, top // 2, 0, zi + 1))
+        probes += len(xs)
+        yi = zi + 1  # one past the largest y the last x allowed
+        for xi in xs:
+            x3 = cubes[xi]
+            yi = bisect_right(cubes, top - x3, xi, yi)  # > xi, since 2x^3 <= top
+            j = yi - 1
+            while j >= xi and x3 + cubes[j] >= bot:
+                found[x3 + cubes[j] + z3].append((xi - B, j - B, zi - B))
+                j -= 1
+    return found, probes, pruned
 
 
 def _verified(k: int, triples: list[tuple[int, int, int]]) -> tuple[Representation, ...]:

@@ -208,14 +208,27 @@ def test_bounds_cap_the_scan_width(lo):
     SearchBounds(1, (hi, lo))  # a reversed range is empty, not too wide
 
 
+def probed_x(k_lo, k_hi, b):
+    """The x values the sweep probes, counted by brute force: for each z the
+    mod-9 sieve keeps (only a width-1 window prunes), every x <= z whose pair
+    sums x^3 + y^3 with x <= y <= z, which run from 2x^3 to x^3 + z^3, can
+    reach the window [k_lo - z^3, k_hi - z^3]."""
+    return sum(1 for z in range(-b, b + 1)
+               if k_lo != k_hi or (k_lo - z ** 3) % 9 in TWO_CUBE_CLASSES
+               for x in range(-b, z + 1)
+               if x ** 3 + z ** 3 >= k_lo - z ** 3 and 2 * x ** 3 <= k_hi - z ** 3)
+
+
 @pytest.mark.parametrize("b", [1, 2, 3, 8, 25, 60])
 def test_sweep_cost_model(b):
-    # the two-pointer pass for z takes at most zi + 1 steps; k = 0, from which
-    # no z is pruned, takes exactly 2b^2 + 2b + 1 in all.  MAX_SCAN_BOUND's
-    # worst-case runtime rests on this count.
-    assert search_module._sweep(0, 0, b)[1] == 2 * b * b + 2 * b + 1
+    # the sweep probes at most zi + 1 x values for z, and exactly the x whose
+    # pair sums can reach the window.  MAX_SCAN_BOUND's worst-case runtime
+    # rests on this count
     for k in range(-40, 41):
-        assert search_module._sweep(k, k, b)[1] <= (2 * b + 1) * (2 * b + 2) // 2
+        _, probes, pruned = search_module._sweep(k, k, b)
+        assert probes == probed_x(k, k, b), k
+        assert probes <= (2 * b + 1) * (2 * b + 2) // 2
+        assert pruned == sum((k - z ** 3) % 9 not in TWO_CUBE_CLASSES for z in range(-b, b + 1))
 
 
 @pytest.mark.parametrize("b", [1, 2, 5, 17])
@@ -283,10 +296,17 @@ def test_search_matches_oracle_property(k, bound):
 
 
 def test_search_stats_count_the_same_work_for_any_hit_count():
-    # pinned from the per-k two-pointer search the windowed sweep replaced;
-    # k=0 has 31 hits, so each hit must cost one pair step, as it did there
-    assert search_module._sweep(29, 29, 20)[1:] == (558, 14)
-    assert search_module._sweep(0, 0, 30)[1:] == (1861, 0)
+    # a hit costs no probe: k = 0 at b = 30 has 31 hits and a wide window
+    # thousands, yet each count is the brute-force one
+    assert search_module._sweep(29, 29, 20)[1:] == (59, 14)
+    assert search_module._sweep(0, 0, 30)[1:] == (193, 0)
+    assert search_module._sweep(1, 300, 300)[1:] == (18_680, 0)
+    reach = 3 * 25 ** 3
+    for k_lo, k_hi in [(-40, 40), (1, 300), (-reach, -reach + 500), (reach - 2000, reach),
+                       (-1000, -1)]:
+        assert search_module._sweep(k_lo, k_hi, 25)[1:] == (probed_x(k_lo, k_hi, 25), 0)
+    # the whole reach probes every x <= z: the upper bound is met
+    assert search_module._sweep(-reach, reach, 25)[1] == (2 * 25 + 1) * (2 * 25 + 2) // 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -322,6 +342,35 @@ def test_scan_range_matches_oracle_property(bound, start, width):
 def test_divisor_search_matches_the_sweep(k, bound):
     found, _, _ = search_module._sweep(k, k, bound)
     assert found_triples(search_k(k, bound)) == sorted(found[k])
+
+
+@st.composite
+def sweep_windows(draw):
+    """A bound up to 150 and a window of width 0-60 that straddles 0, lies
+    wholly below 0, starts at -3B^3 or ends at 3B^3, or lies anywhere near
+    the box's reach."""
+    b = draw(st.integers(1, 150))
+    width = draw(st.integers(0, 60))
+    reach = 3 * b ** 3
+    lo = draw(st.one_of(st.integers(-width, 0), st.integers(-reach - width, -width - 1),
+                        st.sampled_from([-reach, reach - width]),
+                        st.integers(-reach - width, reach)))
+    return b, lo, lo + width
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_windows())
+@example((150, -30, 30))
+@example((150, -3 * 150 ** 3, -3 * 150 ** 3 + 60))
+@example((150, 3 * 150 ** 3 - 60, 3 * 150 ** 3))
+@example((1, -3, 57))
+def test_sweep_matches_the_divisor_search_on_windows(window):
+    # the jumps grow with B, so this reaches bounds the oracle-table property cannot
+    b, lo, hi = window
+    found, _, _ = search_module._sweep(lo, hi, b)
+    assert set(found) <= set(range(lo, hi + 1))
+    for k in range(lo, hi + 1):
+        assert sorted(found.get(k, ())) == found_triples(search_k(k, b)), (k, b)
 
 
 def _no_work(*args):

@@ -142,8 +142,7 @@ def cmd_scan(args, out) -> int:
     from . import search
 
     if args.k_from > args.k_to:
-        raise search.SearchBoundsError(
-            f"--from {args.k_from} is greater than --to {args.k_to}")
+        raise ValueError(f"--from {args.k_from} is greater than --to {args.k_to}")
     results = search.scan_range(search.SearchBounds(args.bound, (args.k_from, args.k_to)))
     _write_csv(out, args.out, results)
     skipped = found = 0
@@ -175,17 +174,31 @@ _READ_SIZE = 1 << 14  # 64 KiB blocks were no faster and raised peak RSS
 
 def _utf8_lines(fh):
     """The lines of the binary file fh as csv.reader counts them, ended by
-    \n, \r\n or \r, decoded from UTF-8 a block of whole lines at a time:
-    _READ_SIZE bytes and the rest of the line they end in.  In a block that is
-    not UTF-8 the lines before the bad one come first, then each line is
+    \n, \r\n or \r, decoded from UTF-8 a block of whole lines at a time.  A
+    block ends after the last \n or \r of a _READ_SIZE read, or at EOF; the
+    bytes after it wait for the next block, and so does a \r that ends a
+    read, since a \n may follow it.  A line longer than a read is joined from
+    its reads once, so the time stays linear in its length.  In a block that
+    is not UTF-8 the lines before the bad one come first, then each line is
     decoded on its own, so the bad line raises only when csv.reader asks for
     it, after every record before it, and the error's position counts from
     the start of that line.  A byte-order mark is not part of the first
     column's name: it is dropped from line 1, after decoding, so its 3 bytes
     count in a position there."""
     def blocks():
+        head = []  # the bytes read past the last block, a piece per read
+        while read := fh.read(_READ_SIZE):
+            cut = max(read.rfind(b"\n"), read.rfind(b"\r", 0, -1)) + 1
+            if cut:
+                head.append(read[:cut])
+                yield b"".join(head)
+                head = []
+            head.append(read[cut:])
+        yield b"".join(head)  # the last line, if it has no line end
+
+    def decoded():
         bom = "\ufeff"
-        while data := fh.read(_READ_SIZE) + fh.readline():  # ends at \n or at EOF
+        for data in blocks():
             try:
                 text = data.decode("utf-8")
             except UnicodeDecodeError as err:
@@ -198,7 +211,7 @@ def _utf8_lines(fh):
                 yield io.StringIO(text.removeprefix(bom), newline="")
             bom = ""
 
-    return itertools.chain.from_iterable(blocks())
+    return itertools.chain.from_iterable(decoded())
 
 
 def cmd_verify_corpus(args, out) -> int:

@@ -53,10 +53,6 @@ MAX_SCAN_BOUND = 10_000
 MAX_SCAN_WIDTH = 1_000_000
 
 
-class SearchBoundsError(ValueError):
-    pass
-
-
 class SearchBounds(namedtuple("SearchBounds", "bound k_range")):
     """Search box |x|,|y|,|z| <= bound, plus an optional inclusive k interval."""
 
@@ -64,14 +60,14 @@ class SearchBounds(namedtuple("SearchBounds", "bound k_range")):
 
     def __new__(cls, bound: int, k_range: tuple[int, int] | None = None):
         if bound < 1:
-            raise SearchBoundsError(f"bound must be >= 1, got {bound}")
+            raise ValueError(f"bound must be >= 1, got {bound}")
         cap = MAX_SEARCH_BOUND if k_range is None else MAX_SCAN_BOUND
         if bound > cap:
-            raise SearchBoundsError(f"bound {bound} exceeds the supported maximum {cap}")
+            raise ValueError(f"bound {bound} exceeds the supported maximum {cap}")
         if k_range is not None and k_range[1] - k_range[0] >= MAX_SCAN_WIDTH:
             lo, hi = k_range
-            raise SearchBoundsError(f"k range {lo}..{hi} holds {hi - lo + 1} values, more than "
-                                    f"the supported maximum {MAX_SCAN_WIDTH}")
+            raise ValueError(f"k range {lo}..{hi} holds {hi - lo + 1} values, more than "
+                             f"the supported maximum {MAX_SCAN_WIDTH}")
         return super().__new__(cls, bound, k_range)
 
 
@@ -168,49 +164,42 @@ def _icbrt(n: int) -> int:
     return z
 
 
-def _cube_roots_mod_prime(k: int, p: int) -> list[int]:
-    """Every r in [0, p) with r^3 = k (mod p), for a prime p."""
-    k %= p
-    if k == 0:
-        return [0]  # p is prime, so p | r^3 forces p | r
-    if p <= 3:
-        return [r for r in range(p) if r ** 3 % p == k]
-    if p % 3 == 2:  # cubing is a bijection; its inverse is the power (2p - 1) / 3
-        return [pow(k, (2 * p - 1) // 3, p)]
-    if pow(k, (p - 1) // 3, p) != 1:
+def _cube_roots_mod_prime_powers(k: int, p: int, top: int) -> list[tuple[int, list[int]]]:
+    """(p^e, every r in [0, p^e) with r^3 = k (mod p^e)) for the prime p and
+    e = 1, 2, ... while p^e <= top, ending before the first p^e with no root.
+    A root mod p^e reduces to one mod p^(e-1), so each power's roots are among
+    the p lifts r + j p^(e-1) of the last power's, and a power with no root
+    has none above it."""
+    if p % 3 != 1:  # cubing permutes Z/p, and this power undoes it (r^3 = r for p = 2, 3)
+        roots = [pow(k, (2 * p - 1) // 3, p)]
+    elif k % p == 0:
+        roots = [0]  # p is prime, so p | r^3 forces p | r
+    elif pow(k, (p - 1) // 3, p) != 1:
         return []  # k is not a cube (Euler's criterion)
-    # Adleman-Manders-Miller: write p - 1 = 3^s t with 3 not dividing t.  x = k^(1/3 mod t)
-    # has x^3 = k * err with err in the cyclic 3-Sylow subgroup generated by c = b^t
-    # (b a cubic non-residue); find err = c^j digit by digit in base 3 and divide
-    # x by c^(j/3).
-    s, t = 0, p - 1
-    while t % 3 == 0:
-        s, t = s + 1, t // 3
-    b = 2
-    while pow(b, (p - 1) // 3, p) == 1:
-        b += 1
-    c = pow(b, t, p)
-    omega = pow(c, 3 ** (s - 1), p)  # b^((p-1)/3), a primitive cube root of unity
-    x = pow(k, pow(3, -1, t), p)
-    err = pow(x, 3, p) * pow(k, -1, p) % p
-    j = 0
-    for i in range(s):
-        h = pow(err * pow(c, -j, p), 3 ** (s - 1 - i), p)  # omega^(digit i of j)
-        if h != 1:
-            j += 3 ** i * (1 if h == omega else 2)
-    x = x * pow(c, -(j // 3), p) % p
-    return [x, x * omega % p, x * omega * omega % p]
-
-
-def _cube_roots_mod_prime_power(k: int, p: int, e: int) -> list[int]:
-    """Every r in [0, p^e) with r^3 = k (mod p^e), lifted one power of p at a
-    time: a root mod p^i reduces to a root mod p^(i-1), so testing the p
-    candidates r + j p^(i-1) above each of those finds them all."""
-    roots, m = _cube_roots_mod_prime(k, p), p
-    for _ in range(e - 1):
-        roots = [z for r in roots for z in range(r, m * p, m) if (z ** 3 - k) % (m * p) == 0]
+    else:
+        # write p - 1 = 3^s t with 3 not dividing t.  x = k^(1/3 mod t) has
+        # x^3 = k u, u a cube in the cyclic 3-Sylow subgroup of order 3^s that
+        # c = b^t generates (b a cubic non-residue), so u c^(3j) = 1 for some
+        # j < 3^(s-1), and x c^j is a root.  omega is a primitive cube root of 1.
+        t = p - 1
+        while t % 3 == 0:
+            t //= 3
+        b = 2
+        while (omega := pow(b, (p - 1) // 3, p)) == 1:
+            b += 1
+        c, r = pow(b, t, p), k % p
+        x = pow(k, pow(3, -1, t), p)
+        while x * x * x % p != r:
+            x = x * c % p
+        roots = [x, x * omega % p, x * omega * omega % p]
+    powers, m = [], p
+    while roots:
+        powers.append((m, roots))
+        if m * p > top:
+            break
+        roots = [z for r in roots for z in range(r, m * p, m) if (z * z * z - k) % (m * p) == 0]
         m *= p
-    return roots
+    return powers
 
 
 def search_k(k: int, bounds: SearchBounds | int) -> SearchResult:
@@ -223,9 +212,10 @@ def search_k(k: int, bounds: SearchBounds | int) -> SearchResult:
     so d = |x + y| divides k - z^3 and z is a cube root of k mod d.  The d in
     1..2B are walked depth first as products of prime powers in increasing
     prime order, and only those for which k is a cube mod d are visited: a
-    child d p^e takes its roots from d's by one CRT step, and a p^e with no
-    root ends p.  4|k - z^3| = d(d^2 + 3(x - y)^2) and |x - y| <= 2B - d, so
-    for each d, z steps by d from each root through the exact window
+    child d p^e takes its roots from d's by one CRT step, and a prime with no
+    root mod p never enters the walk (nor a power of p above the first with no
+    root).  4|k - z^3| = d(d^2 + 3(x - y)^2) and |x - y| <= 2B - d, so for
+    each d, z steps by d from each root through the exact window
     4|k - z^3| <= d(3(2B - d)^2 + d^2), less the z outside [-B, B] or below
     -d/2, which cannot be the largest term.  Then x + y = d sign(k - z^3),
     xy = (d^2 - q) / 3 with q = |k - z^3| / d, and x, y are the roots of a
@@ -245,27 +235,21 @@ def search_k(k: int, bounds: SearchBounds | int) -> SearchResult:
     if c ** 3 == k:  # d = 0: x = -y, and z = c is the largest term for 0 <= y <= c
         hits.extend((-t, t, c) for t in range(c + 1))
     top = 2 * B
-    primes = list(compress(range(top + 1), _prime_sieve(top)))
-    prime_power_roots = {}
+    live = [powers for p in compress(range(top + 1), _prime_sieve(top))
+            if (powers := _cube_roots_mod_prime_powers(k, p, top))]
     pairs = pruned = 0
-    stack = [(1, [0], 0)]  # d, the cube roots of k mod d, the index of the least prime d may gain
+    stack = [(1, [0], 0)]  # d, the cube roots of k mod d, the first index in live d may gain
     while stack:
         d, roots, i = stack.pop()
-        for j in range(i, len(primes)):
-            p = primes[j]
-            if d * p > top:
+        for j in range(i, len(live)):
+            if d * live[j][0][0] > top:  # p, the first power, is too large
                 break
-            pe, e = p, 1
-            while d * pe <= top:
-                if pe not in prime_power_roots:
-                    prime_power_roots[pe] = _cube_roots_mod_prime_power(k, p, e)
-                pe_roots = prime_power_roots[pe]
-                if not pe_roots:
-                    break  # no root mod p^e, so none mod a higher power of p
+            for pe, pe_roots in live[j]:
+                if d * pe > top:
+                    break
                 inv = pow(d, -1, pe)
                 crt = [r + d * ((u - r) * inv % pe) for r in roots for u in pe_roots]
                 stack.append((d * pe, crt, j + 1))
-                pe, e = pe * p, e + 1
         w = d * (3 * (top - d) ** 2 + d * d) // 4  # the window is k - w <= z^3 <= k + w
         lo, hi = max(-B, -(d // 2)), B  # z >= y >= x and x + y >= -d
         if lo ** 3 < k - w:
@@ -299,7 +283,7 @@ def scan_range(bounds: SearchBounds, workers: int | None = None) -> list[SearchR
     [-3B^3, 3B^3], the sums a box can reach.  `workers` is accepted for
     compatibility and has no effect: output is the same for any value."""
     if bounds.k_range is None:
-        raise SearchBoundsError("scan_range needs bounds.k_range")
+        raise ValueError("scan_range needs bounds.k_range")
     start, stop = bounds.k_range
     if start > stop:
         return []

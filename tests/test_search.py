@@ -16,7 +16,6 @@ from cubegraph.search import (
     TWO_CUBE_CLASSES,
     Representation,
     SearchBounds,
-    SearchBoundsError,
     SearchStats,
     scan_range,
     search_k,
@@ -189,9 +188,10 @@ def test_search_k_labels_each_hit_once(monkeypatch):
 
 
 def test_bounds_validation():
-    with pytest.raises(SearchBoundsError):
+    with pytest.raises(ValueError, match=r"^bound must be >= 1, got 0$"):
         SearchBounds(0)
-    with pytest.raises(SearchBoundsError):
+    with pytest.raises(ValueError, match=rf"^bound {MAX_SEARCH_BOUND + 1} exceeds the "
+                       rf"supported maximum {MAX_SEARCH_BOUND}$"):
         SearchBounds(MAX_SEARCH_BOUND + 1)
     SearchBounds(MAX_SEARCH_BOUND)  # boundary is allowed
 
@@ -201,7 +201,7 @@ def test_bounds_cap_the_scan_width(lo):
     # only the bounds are built: nothing is scanned at either width
     SearchBounds(1, (lo, lo + MAX_SCAN_WIDTH - 1))  # exactly the cap is allowed
     hi = lo + MAX_SCAN_WIDTH
-    with pytest.raises(SearchBoundsError, match=rf"^k range {lo}\.\.{hi} holds "
+    with pytest.raises(ValueError, match=rf"^k range {lo}\.\.{hi} holds "
                        rf"{MAX_SCAN_WIDTH + 1} values, more than the supported maximum "
                        rf"{MAX_SCAN_WIDTH}$"):
         SearchBounds(1, (lo, hi))
@@ -278,7 +278,7 @@ def test_scan_range_empty():
 
 
 def test_scan_range_requires_k_range():
-    with pytest.raises(SearchBoundsError):
+    with pytest.raises(ValueError, match=r"^scan_range needs bounds\.k_range$"):
         scan_range(SearchBounds(5))
 
 
@@ -425,27 +425,53 @@ def test_integer_cube_root_is_exact_next_to_a_cube(t, offset):
     assert z ** 3 <= n < (z + 1) ** 3
 
 
+def _cube_roots_by_trial(m):
+    """Every r in [0, m), listed under r^3 mod m."""
+    roots_of = {}
+    for r in range(m):
+        roots_of.setdefault(r * r * r % m, []).append(r)
+    return roots_of
+
+
 def test_cube_roots_mod_prime_powers_match_brute_force():
     # every prime power up to 2000: p = 2 and 3, p | k and p^2 | k, and primes
     # p = 1 (mod 9) such as 19, 37 and 109, whose 3-Sylow subgroup has order >= 9
     primes = [p for p in range(2, 2001) if all(p % q for q in range(2, isqrt(p) + 1))]
     for p in primes:
-        e = 1
-        while p ** e <= 2000:
-            m = p ** e
-            roots_of = {}
-            for r in range(m):
-                roots_of.setdefault(r ** 3 % m, []).append(r)
-            for k in range(-60, 61):
-                got = sorted(search_module._cube_roots_mod_prime_power(k, p, e))
-                assert got == roots_of.get(k % m, []), (k, p, e)
-            e += 1
+        powers = [p ** e for e in range(1, 12) if p ** e <= 2000]
+        roots_of = {m: _cube_roots_by_trial(m) for m in powers}
+        for k in range(-60, 61):
+            want = []  # the powers up to the first with no root, which ends p
+            for m in powers:
+                if k % m not in roots_of[m]:
+                    break
+                want.append((m, roots_of[m][k % m]))
+            assert not any(k % m in roots_of[m] for m in powers[len(want):]), (k, p)
+            for top in (p, p * p - 1, 2000):  # no power above top comes back
+                got = search_module._cube_roots_mod_prime_powers(k, p, top)
+                assert [(m, sorted(r)) for m, r in got] == [w for w in want if w[0] <= top], \
+                    (k, p, top)
+
+
+def test_cube_roots_mod_a_prime_with_a_large_3_sylow_subgroup():
+    # p - 1 = 2 * 3^9: the root search steps through a 3-Sylow subgroup of
+    # order 3^9, the largest for any prime up to 2 * MAX_SEARCH_BOUND
+    p = 39_367
+    assert all(p % q for q in range(2, isqrt(p) + 1)) and (p - 1) // 2 == 3 ** 9
+    roots_of = _cube_roots_by_trial(p)
+    cubes = [k for k in range(1, 40) if k in roots_of] + [c ** 3 for c in (5, 1234, 10 ** 6)]
+    non_cubes = [k for k in range(1, 40) if k not in roots_of]
+    assert len(cubes) > 3 and len(non_cubes) > 10
+    for k in cubes + [-k for k in cubes] + non_cubes + [0, p, -7 * p]:
+        got = search_module._cube_roots_mod_prime_powers(k, p, p)
+        want = roots_of.get(k % p)
+        assert [(m, sorted(r)) for m, r in got] == ([(p, want)] if want else []), k
 
 
 def test_scan_bound_has_its_own_cap():
     assert MAX_SCAN_BOUND < MAX_SEARCH_BOUND
     SearchBounds(MAX_SCAN_BOUND, (1, 2))  # exactly the cap is allowed
-    with pytest.raises(SearchBoundsError, match=rf"^bound {MAX_SCAN_BOUND + 1} exceeds the "
+    with pytest.raises(ValueError, match=rf"^bound {MAX_SCAN_BOUND + 1} exceeds the "
                        rf"supported maximum {MAX_SCAN_BOUND}$"):
         SearchBounds(MAX_SCAN_BOUND + 1, (1, 2))
     SearchBounds(MAX_SCAN_BOUND + 1)  # one k: the search cap applies

@@ -21,8 +21,6 @@ the modules its subcommand needs.
 """
 
 import argparse
-import io
-import itertools
 import os
 import sys
 
@@ -173,45 +171,25 @@ _READ_SIZE = 1 << 14  # 64 KiB blocks were no faster and raised peak RSS
 
 
 def _utf8_lines(fh):
-    """The lines of the binary file fh as csv.reader counts them, ended by
-    \n, \r\n or \r, decoded from UTF-8 a block of whole lines at a time.  A
-    block ends after the last \n or \r of a _READ_SIZE read, or at EOF; the
-    bytes after it wait for the next block, and so does a \r that ends a
-    read, since a \n may follow it.  A line longer than a read is joined from
-    its reads once, so the time stays linear in its length.  In a block that
-    is not UTF-8 the lines before the bad one come first, then each line is
-    decoded on its own, so the bad line raises only when csv.reader asks for
-    it, after every record before it, and the error's position counts from
-    the start of that line.  A byte-order mark is not part of the first
-    column's name: it is dropped from line 1, after decoding, so its 3 bytes
-    count in a position there."""
-    def blocks():
-        head = []  # the bytes read past the last block, a piece per read
-        while read := fh.read(_READ_SIZE):
-            cut = max(read.rfind(b"\n"), read.rfind(b"\r", 0, -1)) + 1
-            if cut:
-                head.append(read[:cut])
-                yield b"".join(head)
-                head = []
-            head.append(read[cut:])
-        yield b"".join(head)  # the last line, if it has no line end
-
-    def decoded():
-        bom = "\ufeff"
-        for data in blocks():
-            try:
-                text = data.decode("utf-8")
-            except UnicodeDecodeError as err:
-                cut = max(data.rfind(b"\n", 0, err.start), data.rfind(b"\r", 0, err.start)) + 1
-                yield io.StringIO(data[:cut].decode("utf-8").removeprefix(bom), newline="")
-                yield (line.decode("utf-8") for line in data[cut:].splitlines(keepends=True))
-            else:
-                # newline="": lines end at \n, \r\n and \r only, as in csv.reader,
-                # not at the other line breaks of str.splitlines, such as \x1c
-                yield io.StringIO(text.removeprefix(bom), newline="")
-            bom = ""
-
-    return itertools.chain.from_iterable(decoded())
+    """The lines of the text file fh, a block of whole lines at a time.  fh
+    is opened with newline="", so its lines end at \n, \r\n or \r, as
+    csv.reader counts them, and with errors="surrogateescape", so a byte that
+    is not UTF-8 arrives as a lone surrogate, which does not encode.  Each
+    line of a block that holds one is decoded again from its own bytes, so
+    the bad line raises only when csv.reader asks for it, after every record
+    before it, and the error's position counts from the start of that line.
+    A byte-order mark is not part of the first column's name: it is dropped
+    from line 1 after this check, so its 3 bytes count in a position there."""
+    bom = "\ufeff"
+    while lines := fh.readlines(_READ_SIZE):
+        try:
+            "".join(lines).encode("utf-8")
+        except UnicodeEncodeError:
+            lines = (line.encode("utf-8", "surrogateescape").decode("utf-8") for line in lines)
+        lines = iter(lines)
+        yield next(lines).removeprefix(bom)
+        bom = ""
+        yield from lines
 
 
 def cmd_verify_corpus(args, out) -> int:
@@ -219,7 +197,8 @@ def cmd_verify_corpus(args, out) -> int:
 
     parse_errors = invalid = valid = 0
     try:  # an error that stops the run names file and line; main puts it on stderr
-        with open(args.corpus, "rb") as fh:
+        with open(args.corpus, encoding="utf-8", errors="surrogateescape",
+                  newline="") as fh:
             reader = csv.reader(_utf8_lines(fh))
             header = next(reader, None)  # the first record, even a blank one
             if header is None or not {"k", "x", "y", "z"} <= set(header):

@@ -91,10 +91,12 @@ def spelled_labels(x: int, y: int, z: int) -> tuple[str, str]:
 def utf8_lines(fh):
     """The lines of the binary file fh as csv.reader counts them, ended by
     \n, \r\n or \r, each decoded from UTF-8 on its own, with a byte-order
-    mark dropped from line 1 after decoding.  The program decodes a block of
-    lines at a time (cli._utf8_lines); the tests compare the two."""
+    mark dropped from line 1 after decoding.  Given a text file, it reads
+    the binary file under it, fh.buffer, so that it can stand in for
+    cli._utf8_lines, which reads a text file a block of lines at a time; the
+    tests compare the two."""
     lines = (line.decode("utf-8")
-             for chunk in fh  # ends at \n, and may hold lines ended by \r
+             for chunk in getattr(fh, "buffer", fh)  # ends at \n, and may hold lines ended by \r
              for line in chunk.splitlines(keepends=True))
     first = next(lines, None)
     if first is not None:

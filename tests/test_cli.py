@@ -910,32 +910,41 @@ _PIECES = [b",", b"1", b"\r", b"\n", b"\r\n", b"\xef\xbb\xbf", b"\xff", b"\xe2\x
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.sampled_from(_PIECES), max_size=40).map(b"".join), st.integers(1, 64))
-@example(b"\xef\xbb\xbf", 1)
-@example(b"1\n\xef\xbb\xbf1\n", 1)  # a BOM past line 1 is data
-@example(b"\xef\xbb\xbf1\r1\xff", 64)  # line 1 is good: its BOM goes
-@example(b"1\r\n1\xff\r\n", 2)  # the block ends at the \r, the line at the \n after it
-@example(b"1\r1\r\xe2\x82\n1", 1)
-def test_block_reader_yields_the_lines_of_the_per_line_reader(data, size):
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map(b"".join), st.integers(1, 64),
+       st.integers(1, 16))
+@example(b"\xef\xbb\xbf", 1, 1)
+@example(b"1\n\xef\xbb\xbf1\n", 1, 1)  # a BOM past line 1 is data
+@example(b"\xef\xbb\xbf1\r1\xff", 64, 16)  # line 1 is good: its BOM goes
+@example(b"1\r\n1\xff\r\n", 2, 2)  # the chunk ends at the \r, the line at the \n after it
+@example(b"1\r1\r\xe2\x82\n1", 1, 5)  # the chunk ends inside the cut sequence
+@example(b"1\xe2\x82\xac\n", 64, 2)  # ... and inside a whole one
+def test_block_reader_yields_the_lines_of_the_per_line_reader(data, size, chunk):
+    # the text layer decodes chunk bytes at a time, so its chunk's end is a
+    # boundary of the program as much as the block reader's size is
+    fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape",
+                          newline="")
+    fh._CHUNK_SIZE = chunk
     with mock.patch.object(cli, "_READ_SIZE", size):
-        got, error = _drain(cli._utf8_lines(io.BytesIO(data)))
-    want, want_error = _drain(utf8_lines(io.BytesIO(data)))
-    # a file that is only a BOM is one empty line to the per-line reader and
-    # none to the block reader: csv.reader reads both as no header
-    assert (got, error) == ([line for line in want if line], want_error)
+        got = _drain(cli._utf8_lines(fh))
+    assert got == _drain(utf8_lines(io.BytesIO(data)))
 
 
 _ROWS = b"k,x,y,z\n" + b"29,1,1,3\n" * 1800  # 16,208 bytes, lines 1 to 1801
+_ROWS_8K = b"k,x,y,z\n" + b"29,1,1,3\n" * 900  # 8,108 bytes, lines 1 to 901
 
 
-def _at(start, rest):
-    """_ROWS, a good row padded to end just before byte `start` (line 1802),
-    then rest from byte `start` on (from line 1803)."""
-    pad = start - len(_ROWS) - len(b"29,1,1,3\n")
-    return _ROWS + b"29,1,1," + b" " * pad + b"3\n" + rest
+def _at(start, rest, rows=_ROWS):
+    """rows, a good row padded to end just before byte `start` (line 1802
+    after _ROWS), then rest from byte `start` on (from line 1803)."""
+    pad = start - len(rows) - len(b"29,1,1,3\n")
+    return rows + b"29,1,1," + b" " * pad + b"3\n" + rest
 
 
 _BAD_LINE = "line 1803: 'utf-8' codec can't decode "
+_BAD_LINE_8K = "line 903: 'utf-8' codec can't decode "
+# a good extra cell of non-ASCII on every row: a € is bytes 8190-8192 and an
+# é bytes 16383-16384, so a chunk of the text layer ends inside each
+_NOTES = b"k,x,y,z\n" + "29,1,1,3,€€€€éé\n".encode("utf-8") * 1000
 
 
 @pytest.mark.parametrize("source", ["file", "pipe"])
@@ -950,8 +959,16 @@ _BAD_LINE = "line 1803: 'utf-8' codec can't decode "
      "line 3002: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"),
     (b"", 0, "header must contain columns k,x,y,z"),
     (b"\xef\xbb\xbf", 0, "header must contain columns k,x,y,z"),
+    # the text layer decodes 8 KiB chunks
+    *[(_at(at - 4, b"1,2,\xff,3\n29,1,1,3\n", _ROWS_8K), 901,
+       _BAD_LINE_8K + "byte 0xff in position 4: invalid start byte") for at in (8191, 8192, 8193)],
+    (_at(8191 - 4, b"1,2,\xe2\x82,3\n", _ROWS_8K), 901,  # cut at the chunk's end
+     _BAD_LINE_8K + "bytes in position 4-5: invalid continuation byte"),
+    (_at(8191 - 8, b"29,1,1,3\r\n29,1,1,3\n", _ROWS_8K), 903, None),  # the \r is byte 8191
+    (_NOTES, 1000, None),
 ], ids=["ff-at-16383", "ff-at-16384", "ff-at-16385", "cut-sequence", "crlf-across", "long-field",
-        "cr-only", "empty", "bom-only"])
+        "cr-only", "empty", "bom-only", "ff-at-8191", "ff-at-8192", "ff-at-8193",
+        "cut-sequence-8k", "crlf-across-8k", "non-ascii-across"])
 def test_verify_corpus_reads_across_block_boundaries(capsys, monkeypatch, tmp_path, source,
                                                       data, rows, error):
     corpus = tmp_path / "corpus.csv"
@@ -991,7 +1008,7 @@ def test_verify_corpus_checks_the_benchmark_corpus(capsys, monkeypatch, tmp_path
         assert line == cp.expected_line(i) + labels
 
 
-@pytest.mark.parametrize("end", ["\n", "\r"], ids=["LF", "CR"])
+@pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
 def test_verify_corpus_peak_memory_does_not_depend_on_the_line_end(monkeypatch, tmp_path, end):
     # a reader that ended blocks only at \n decoded a \r-only corpus whole:
     # 7,610 KiB traced at 20,000 rows, against 415 KiB with \n

@@ -4,10 +4,11 @@ Exit codes are stable across subcommands: 0 success/complete, 1 validation
 failure, 2 usage or parse error, and 141 (128 + SIGPIPE), with nothing on
 stderr, when stdout is closed before the output ends, as `| head` does.
 Output goes to sys.stdout as it is produced, so memory does not grow with
-its size; identical invocations still produce bytewise-identical results.
-sys.stdout buffers it: entrypoint turns write-through off once, so a run
-under PYTHONUNBUFFERED too passes its text on in pieces of 8 KiB, not a
-system call per line.  stdout carries results only.  Every error that
+its size; `scan` writes each k's rows as that k's result is verified, and
+holds no result per k.  Identical invocations produce bytewise-identical
+results.  sys.stdout buffers it: entrypoint turns write-through off once,
+so a run under PYTHONUNBUFFERED too passes its text on in pieces of 8 KiB,
+not a system call per line.  stdout carries results only.  Every error that
 stops a run once its arguments parse, such as a bound over the cap, an
 unreadable corpus or a record that is not CSV or not UTF-8, reaches main:
 it flushes the lines already produced, then writes one `error: <reason>`
@@ -35,21 +36,26 @@ EXIT_CLOSED_STDOUT = 128 + 13  # the shell's code for a process killed by SIGPIP
 CSV_HEADER = "k,x,y,z,class,path\n"
 
 
-def _write_csv(out, path, results):
-    """CSV_HEADER and a row per representation of the SearchResults: into
-    the file at path, with a one-line note on out, or else on out.  No field
-    needs quoting: each is an int or a label made of 0, 1, 8 and +."""
+def _write_csv(out, path, results) -> int:
+    """CSV_HEADER and a row per representation of the SearchResults, each
+    result's rows written as it comes: into the file at path, with a
+    one-line note on out, or else on out.  Returns the rows written.  No
+    field needs quoting: each is an int or a label made of 0, 1, 8 and +."""
     def write(fh):
         fh.write(CSV_HEADER)
-        fh.writelines(f"{rep.k},{rep.x},{rep.y},{rep.z},{rep.k % 9},{rep.path}\n"
-                      for res in results for rep in res.representations)
+        rows = 0
+        for res in results:
+            for rep in res.representations:
+                fh.write(f"{rep.k},{rep.x},{rep.y},{rep.z},{rep.k % 9},{rep.path}\n")
+            rows += len(res.representations)
+        return rows
 
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
-        out.write(f"wrote {sum(len(res.representations) for res in results)} row(s) to {path}\n")
-    else:
-        write(out)
+    if not path:
+        return write(out)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        rows = write(fh)
+    out.write(f"wrote {rows} row(s) to {path}\n")
+    return rows
 
 
 def cmd_classes(args, out) -> int:
@@ -141,16 +147,16 @@ def cmd_scan(args, out) -> int:
 
     if args.k_from > args.k_to:
         raise ValueError(f"--from {args.k_from} is greater than --to {args.k_to}")
-    results = search.scan_range(search.SearchBounds(args.bound, (args.k_from, args.k_to)))
-    _write_csv(out, args.out, results)
-    skipped = found = 0
-    for res in results:
-        if res.skipped:
+    bounds = search.SearchBounds(args.bound, (args.k_from, args.k_to))
+    found = _write_csv(out, args.out, search.iter_scan(bounds))  # each k's rows as it comes
+    # which k are infeasible depends on the range alone: a second pass names them
+    ks = range(args.k_from, args.k_to + 1)
+    skipped = 0
+    for k in ks:
+        if not residues.is_feasible(k):
             skipped += 1
-            out.write(f"k={res.k}: infeasible (class {residues.class_of(res.k)})\n")
-        else:
-            found += len(res.representations)
-    out.write(f"scanned {len(results)} value(s) of k: {found} representation(s), "
+            out.write(f"k={k}: infeasible (class {residues.class_of(k)})\n")
+    out.write(f"scanned {len(ks)} value(s) of k: {found} representation(s), "
               f"{skipped} infeasible\n")
     return EXIT_OK
 
@@ -170,23 +176,38 @@ def _row_dict(header: list[str], row: list[str]) -> dict:
 _READ_SIZE = 1 << 14  # 64 KiB blocks were no faster and raised peak RSS
 
 
+class _NulLine(ValueError):
+    """A corpus line holding a NUL.  csv.reader stops at one on Python 3.10
+    and reads it as data on 3.11+, so _utf8_lines stops there on each."""
+
+
+def _checked(line):
+    """line decoded again from its own bytes, so that a byte that is not
+    UTF-8 raises with its position in the line; a NUL raises _NulLine."""
+    line = line.encode("utf-8", "surrogateescape").decode("utf-8")
+    if "\0" in line:
+        raise _NulLine("line contains NUL")
+    return line
+
+
 def _utf8_lines(fh):
     """The lines of the text file fh, a block of whole lines at a time.  fh
     is opened with newline="", so its lines end at \n, \r\n or \r, as
     csv.reader counts them, and with errors="surrogateescape", so a byte that
     is not UTF-8 arrives as a lone surrogate, which does not encode.  Each
-    line of a block that holds one is decoded again from its own bytes, so
-    the bad line raises only when csv.reader asks for it, after every record
-    before it, and the error's position counts from the start of that line.
-    A byte-order mark is not part of the first column's name: it is dropped
-    from line 1 after this check, so its 3 bytes count in a position there."""
+    line of a block that holds one, or a NUL, is _checked on its own, so the
+    bad line raises only when csv.reader asks for it, after every record
+    before it, and a decode error's position counts from the start of that
+    line.  A byte-order mark is not part of the first column's name: it is
+    dropped from line 1 after this check, so its 3 bytes count in a position
+    there."""
     bom = "\ufeff"
     while lines := fh.readlines(_READ_SIZE):
-        try:
-            "".join(lines).encode("utf-8")
+        try:  # UTF-8 spells U+0000 alone with a 0 byte
+            clean = b"\0" not in "".join(lines).encode("utf-8")
         except UnicodeEncodeError:
-            lines = (line.encode("utf-8", "surrogateescape").decode("utf-8") for line in lines)
-        lines = iter(lines)
+            clean = False
+        lines = iter(lines if clean else map(_checked, lines))
         yield next(lines).removeprefix(bom)
         bom = ""
         yield from lines
@@ -231,7 +252,7 @@ def cmd_verify_corpus(args, out) -> int:
                           f"path={path} signed={signed}\n")
     except csv.Error as err:  # e.g. a field over csv.field_size_limit()
         raise ValueError(f"{args.corpus}: line {reader.line_num}: {err}") from None
-    except UnicodeDecodeError as err:  # from the line after the last one read
+    except (UnicodeDecodeError, _NulLine) as err:  # from the line after the last one read
         raise ValueError(f"{args.corpus}: line {reader.line_num + 1}: {err}") from None
 
     out.write(f"{valid} valid, {invalid} invalid, {parse_errors} parse error(s)\n")
@@ -283,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--out", metavar="FILE.csv")
     p.add_argument("--workers", type=int, default=None,
-                   help="kept for compatibility; has no effect (the scan is "
-                        "one in-process sweep, output is identical for any value)")
+                   help="kept for compatibility; has no effect (output is "
+                        "identical for any value)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify-corpus", help="verify a CSV of claimed "

@@ -4,13 +4,16 @@ Two algorithms, one per query shape.  One k (`search_k`) uses the divisor
 method: x + y divides k - z^3, so only the d = |x + y| for which k is a cube
 mod d are walked, and for each only the cube roots of k mod d are tried as z,
 within the window of z that |x - y| <= 2B - d leaves.  A window of k
-(`scan_range`) uses one sweep: the cube table is built once, and for each z in
+(`iter_scan`) uses one sweep: the cube table is built once, and for each z in
 [-B, B] it collects every pair x <= y <= z whose x^3 + y^3 falls in
 [k_lo - z^3, k_hi - z^3], probing only the x whose pair sums can reach it and
 finding each x's largest y by bisection.  So the whole window costs about
-0.21 B^2 probes plus its hits, however many k it holds.  That beats one
-divisor search per k only for a wide window, of more than about B/75 values
-of k: at B = 3,000, 300 k took 0.97 s by the sweep against 7.2 s by divisor
+0.21 B^2 probes plus its hits, however many k it holds.  The scan then
+yields one verified result per k, in k order, dropping each k's hits once
+its result is made, so a caller that writes each result as it comes holds
+the sweep's hits, never a result per k.  The sweep beats one divisor search
+per k only for a wide window, of more than about B/75 values of k: at
+B = 3,000, 300 k took 0.97 s by the sweep against 7.2 s by divisor
 searches, but 20 k took 0.89 s against 0.49 s (in process, one core of a
 2-vCPU x86-64 machine, CPython 3.11).  Both find each solution multiset
 exactly once.  Two mod-9 sieves prune the work: targets in class 4 or 5 are
@@ -45,11 +48,12 @@ MAX_SEARCH_BOUND = 100_000
 # grows as B^2, so B = 20,000 would take about 50 s.
 MAX_SCAN_BOUND = 10_000
 
-# The widest k range one scan accepts.  A scan keeps one SearchResult per k
-# and prints a line for each infeasible one, so its time and memory grow with
-# the width even at bound 1, by about 3 us and 115 B per k: at the cap,
-# `scan --from 1 --to 1000000 --bound 1` took 3.0-3.2 s at 130 MB peak RSS
-# (same machine as above).
+# The widest k range one scan accepts.  A scan writes each k's rows as that
+# k comes and names the infeasible k in a second pass over the range, so it
+# holds no result per k, but its time still grows with the width, by about
+# 1 us a k at bound 1: at the cap, `scan --from 1 --to 1000000 --bound 1`
+# took 1.2-1.7 s at 14.7 MB peak RSS, against 14.5 MB for `classes` (same
+# machine as above).
 MAX_SCAN_WIDTH = 1_000_000
 
 
@@ -103,10 +107,13 @@ class SearchStats(namedtuple("SearchStats", "pairs_scanned z_pruned", defaults=(
 SearchResult = namedtuple("SearchResult", "k representations skipped stats")
 
 
-def _sweep(k_lo: int, k_hi: int, B: int) -> tuple[dict[int, list[tuple[int, int, int]]], int, int]:
+def _sweep(k_lo: int, k_hi: int, B: int) -> tuple[dict[int, list[int]], int, int]:
     """Every canonical (x, y, z) with |x|,|y|,|z| <= B and k_lo <= x^3+y^3+z^3 <= k_hi,
     bucketed by cube sum in no particular order, plus the x values probed and
-    the z values pruned (only a width-1 window prunes).
+    the z values pruned (only a width-1 window prunes).  Each hit is packed
+    into one int, ((x + B) W + y + B) W + z + B with W = 2B + 1, which
+    _triples unpacks: the 2,440 hits of k = 1..300 at B = 300 take 123 KB
+    packed, against 284 KB as 3-tuples (traced).
 
     For each z, the pair sums x^3 + y^3 with x <= y <= z must fall in
     [bot, top] = [k_lo - z^3, k_hi - z^3].  x's pair sums run from 2x^3 to
@@ -115,11 +122,12 @@ def _sweep(k_lo: int, k_hi: int, B: int) -> tuple[dict[int, list[tuple[int, int,
     with x^3 + y^3 <= top by one more bisection, below the last x's y since
     y falls as x rises, then emits y downwards while the sum stays >= bot."""
     cubes = [i * i * i for i in range(-B, B + 1)]  # strictly increasing
+    W = len(cubes)
     prune = k_lo == k_hi
     found = defaultdict(list)
     probes = 0
     pruned = 0
-    for zi in range(2 * B + 1):
+    for zi in range(W):
         z3 = cubes[zi]
         bot, top = k_lo - z3, k_hi - z3
         if prune and bot % 9 not in TWO_CUBE_CLASSES:
@@ -133,9 +141,15 @@ def _sweep(k_lo: int, k_hi: int, B: int) -> tuple[dict[int, list[tuple[int, int,
             yi = bisect_right(cubes, top - x3, xi, yi)  # > xi, since 2x^3 <= top
             j = yi - 1
             while j >= xi and x3 + cubes[j] >= bot:
-                found[x3 + cubes[j] + z3].append((xi - B, j - B, zi - B))
+                found[x3 + cubes[j] + z3].append((xi * W + j) * W + zi)
                 j -= 1
     return found, probes, pruned
+
+
+def _triples(packed: list[int], B: int) -> list[tuple[int, int, int]]:
+    """The (x, y, z) of each hit packed as _sweep packs them at the bound B."""
+    W = 2 * B + 1
+    return [(v // W // W - B, v // W % W - B, v % W - B) for v in packed]
 
 
 def _verified(k: int, triples: list[tuple[int, int, int]]) -> tuple[Representation, ...]:
@@ -276,22 +290,31 @@ def search_k(k: int, bounds: SearchBounds | int) -> SearchResult:
 
 
 def scan_range(bounds: SearchBounds, workers: int | None = None) -> list[SearchResult]:
-    """One SearchResult per k in bounds.k_range, in k order, from a single
-    windowed sweep over the whole range.  Infeasible k (class 4 or 5) come
-    back skipped; every result carries an empty SearchStats(), because the
-    sweep's work is shared across k, and the sweep covers only the k in
-    [-3B^3, 3B^3], the sums a box can reach.  `workers` is accepted for
-    compatibility and has no effect: output is the same for any value."""
+    """The list of what iter_scan(bounds) yields, for a caller that wants
+    every result at once; the benchmark's tracer (perfbench/tracing.py) is
+    the only one left.  `workers` is accepted for compatibility and has no
+    effect: output is the same for any value."""
+    return list(iter_scan(bounds))
+
+
+def iter_scan(bounds: SearchBounds):
+    """One SearchResult per k in bounds.k_range, in k order, each verified
+    when it is reached, from a single windowed sweep over the whole range.
+    Infeasible k (class 4 or 5) come back skipped; every result carries an
+    empty SearchStats(), because the sweep's work is shared across k, and
+    the sweep covers only the k in [-3B^3, 3B^3], the sums a box can reach.
+    Each k's hits are dropped once its result is made: `cubegraph scan`
+    writes each result as it comes, so it never holds a result per k."""
     if bounds.k_range is None:
         raise ValueError("scan_range needs bounds.k_range")
     start, stop = bounds.k_range
-    if start > stop:
-        return []
-    reach = 3 * bounds.bound ** 3
+    B = bounds.bound
+    reach = 3 * B ** 3
     lo, hi = max(start, -reach), min(stop, reach)
-    found = _sweep(lo, hi, bounds.bound)[0] if lo <= hi else {}
-    # no cube sum is 4 or 5 mod 9, so an infeasible k has no hits to verify.
-    # get, not found[k]: indexing the defaultdict would store a list per k
+    found = _sweep(lo, hi, B)[0] if lo <= hi else {}
     stats = SearchStats()
-    return [SearchResult(k, _verified(k, found.get(k, ())), not is_feasible(k), stats)
-            for k in range(start, stop + 1)]
+    for k in range(start, stop + 1):
+        # no cube sum is 4 or 5 mod 9, so an infeasible k has no hits to verify
+        hits = found.pop(k, None)  # None for the many k with no hit: no call made
+        reps = _verified(k, _triples(hits, B)) if hits else ()
+        yield SearchResult(k, reps, not is_feasible(k), stats)

@@ -5,6 +5,7 @@ import io
 from collections import Counter, namedtuple
 from itertools import product
 
+from cubegraph.cli import _NulLine
 from cubegraph.debruijn import DeBruijnGraph, check_order
 from cubegraph.residues import class_of
 
@@ -88,14 +89,20 @@ def spelled_labels(x: int, y: int, z: int) -> tuple[str, str]:
     return spell(path), spell(signed)
 
 
+def _nul_free(line):
+    if "\0" in line:
+        raise _NulLine("line contains NUL")
+    return line
+
+
 def utf8_lines(fh):
     """The lines of the binary file fh as csv.reader counts them, ended by
     \n, \r\n or \r, each decoded from UTF-8 on its own, with a byte-order
-    mark dropped from line 1 after decoding.  Given a text file, it reads
-    the binary file under it, fh.buffer, so that it can stand in for
-    cli._utf8_lines, which reads a text file a block of lines at a time; the
-    tests compare the two."""
-    lines = (line.decode("utf-8")
+    mark dropped from line 1 after decoding; a line holding a NUL raises
+    cli._NulLine once decoded.  Given a text file, it reads the binary file
+    under it, fh.buffer, so that it can stand in for cli._utf8_lines, which
+    reads a text file a block of lines at a time; the tests compare the two."""
+    lines = (_nul_free(line.decode("utf-8"))
              for chunk in getattr(fh, "buffer", fh)  # ends at \n, and may hold lines ended by \r
              for line in chunk.splitlines(keepends=True))
     first = next(lines, None)

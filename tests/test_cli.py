@@ -457,6 +457,31 @@ def test_scan_csv_is_rereadable_by_verify_corpus(capsys, tmp_path):
     assert " 0 invalid, 0 parse error(s)" in out
 
 
+def _scan_peak(*argv):
+    """The traced peak of cmd_scan on parsed argv, its stdout going to
+    /dev/null; every module it uses is imported before tracing starts."""
+    args = cli.build_parser().parse_args(["scan", *argv])
+    with open(os.devnull, "w", encoding="utf-8") as out:
+        tracemalloc.start()
+        try:
+            assert cli.cmd_scan(args, out) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_scan_memory_does_not_grow_with_the_width():
+    # a k's rows are written as it comes and the infeasible k named in a
+    # second pass, so no result per k is held: 10x the width, the same peak
+    small = _scan_peak("--from", "1", "--to", "20000", "--bound", "1")
+    assert _scan_peak("--from", "1", "--to", "200000", "--bound", "1") < small + 8 * 1024
+
+
+def test_scan_memory_at_the_benchmark_window():
+    # each k's hits are dropped once its rows are written
+    assert _scan_peak("--from", "1", "--to", "300", "--bound", "300") < 300 * 1024
+
+
 def test_verify_corpus_good_rows(capsys, tmp_path):
     corpus = tmp_path / "corpus.csv"
     corpus.write_text("k,x,y,z\n15,-265,-262,332\n0,0,0,0\n")
@@ -843,6 +868,24 @@ def test_verify_corpus_names_the_file_and_line_of_a_byte_that_is_not_utf8(capsys
     assert [line.split(" class=")[0] for line in out.splitlines()] == want
 
 
+def test_verify_corpus_stops_at_a_nul_on_every_python(capsys, tmp_path):
+    # Python 3.10's csv.reader stops at a NUL and 3.11's reads it as data:
+    # the reader stops at the line on each, after the rows before it
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_bytes(b"k,x,y,z\n29,1,1,3\0\n29,1,1,3\n")
+    assert run(capsys, "verify-corpus", str(corpus)) == \
+        (2, "", f"error: {corpus}: line 2: line contains NUL\n")
+
+    # far past the first block, and inside a quoted field that began a line before
+    rows = _good_rows(500)
+    text = "k,x,y,z\n" + "".join(f"{k},{x},{y},{z}\n" for k, x, y, z in rows)
+    corpus.write_bytes(text.encode() + b'1,2,"3\n\0",4\n29,1,1,3\n')
+    code, out, err = run(capsys, "verify-corpus", str(corpus))
+    assert (code, err) == (2, f"error: {corpus}: line 503: line contains NUL\n")
+    want = [f"line {i}: k={k} ({x},{y},{z}) OK" for i, (k, x, y, z) in enumerate(rows, 2)]
+    assert [line.split(" class=")[0] for line in out.splitlines()] == want
+
+
 def _run_from_a_pipe(capsys, data: bytes):
     """cli.main's (code, stdout, stderr) for verify-corpus reading data
     through /dev/fd, and that path.  data must fit the 64 KiB pipe buffer."""
@@ -906,7 +949,7 @@ def _drain(lines):
 
 
 _PIECES = [b",", b"1", b"\r", b"\n", b"\r\n", b"\xef\xbb\xbf", b"\xff", b"\xe2\x82",
-           b"\xe2\x82\xac"]
+           b"\xe2\x82\xac", b"\0"]
 
 
 @settings(max_examples=400, deadline=None)
@@ -918,6 +961,8 @@ _PIECES = [b",", b"1", b"\r", b"\n", b"\r\n", b"\xef\xbb\xbf", b"\xff", b"\xe2\x
 @example(b"1\r\n1\xff\r\n", 2, 2)  # the chunk ends at the \r, the line at the \n after it
 @example(b"1\r1\r\xe2\x82\n1", 1, 5)  # the chunk ends inside the cut sequence
 @example(b"1\xe2\x82\xac\n", 64, 2)  # ... and inside a whole one
+@example(b"1\n1\0\xff\n", 64, 16)  # a bad byte and a NUL on one line: the byte first
+@example(b"1\n\0\n1\xff\n", 64, 16)  # a NUL before a bad byte's line
 def test_block_reader_yields_the_lines_of_the_per_line_reader(data, size, chunk):
     # the text layer decodes chunk bytes at a time, so its chunk's end is a
     # boundary of the program as much as the block reader's size is
@@ -954,6 +999,7 @@ _NOTES = b"k,x,y,z\n" + "29,1,1,3,€€€€éé\n".encode("utf-8") * 1000
     (_at(16383 - 4, b"1,2,\xe2\x82,3\n"), 1801,  # a 3-byte sequence cut at the boundary
      _BAD_LINE + "bytes in position 4-5: invalid continuation byte"),
     (_at(16383 - 8, b"29,1,1,3\r\n29,1,1,3\n"), 1803, None),  # the \r is byte 16383
+    (_at(16383 - 4, b"1,2,\0,3\n29,1,1,3\n"), 1801, "line 1803: line contains NUL"),
     (b"k,x,y,z\n29,1,\"1" + b" \n" * 20_000 + b'",3\n29,1,1,3\n', 2, None),  # a 40 KB field
     (b"\r".join([b"k,x,y,z", *[b"29,1,1,3"] * 3000, b"29,1,\xff,3", b"29,1,1,3"]), 3000,
      "line 3002: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"),
@@ -966,7 +1012,8 @@ _NOTES = b"k,x,y,z\n" + "29,1,1,3,€€€€éé\n".encode("utf-8") * 1000
      _BAD_LINE_8K + "bytes in position 4-5: invalid continuation byte"),
     (_at(8191 - 8, b"29,1,1,3\r\n29,1,1,3\n", _ROWS_8K), 903, None),  # the \r is byte 8191
     (_NOTES, 1000, None),
-], ids=["ff-at-16383", "ff-at-16384", "ff-at-16385", "cut-sequence", "crlf-across", "long-field",
+], ids=["ff-at-16383", "ff-at-16384", "ff-at-16385", "cut-sequence", "crlf-across", "nul-at-16383",
+        "long-field",
         "cr-only", "empty", "bom-only", "ff-at-8191", "ff-at-8192", "ff-at-8193",
         "cut-sequence-8k", "crlf-across-8k", "non-ascii-across"])
 def test_verify_corpus_reads_across_block_boundaries(capsys, monkeypatch, tmp_path, source,

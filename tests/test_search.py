@@ -282,6 +282,21 @@ def test_scan_range_requires_k_range():
         scan_range(SearchBounds(5))
 
 
+def test_iter_scan_drops_each_k_s_hits_once_its_result_is_made(monkeypatch):
+    # the scan holds the sweep's buckets, not a result per k
+    sweep, swept = search_module._sweep, []
+    monkeypatch.setattr(search_module, "_sweep",
+                        lambda lo, hi, B: swept.append(sweep(lo, hi, B)) or swept[-1])
+    bounds = SearchBounds(3, (-5, 30))
+    scan = search_module.iter_scan(bounds)
+    first = next(scan)
+    found = swept[0][0]
+    assert first.k == -5 and -5 not in found and 2 in found
+    rest = list(scan)
+    assert found == {}
+    assert [first, *rest] == scan_range(bounds)
+
+
 def test_scan_parallel_equals_sequential():
     bounds = SearchBounds(25, (-10, 25))
     sequential = scan_range(bounds, workers=1)
@@ -341,7 +356,7 @@ def test_scan_range_matches_oracle_property(bound, start, width):
 @example(3 * 60 ** 3 - 1, 60)  # one below it: at d = 120 the window is z = 60 alone
 def test_divisor_search_matches_the_sweep(k, bound):
     found, _, _ = search_module._sweep(k, k, bound)
-    assert found_triples(search_k(k, bound)) == sorted(found[k])
+    assert found_triples(search_k(k, bound)) == sorted(search_module._triples(found[k], bound))
 
 
 @st.composite
@@ -370,7 +385,8 @@ def test_sweep_matches_the_divisor_search_on_windows(window):
     found, _, _ = search_module._sweep(lo, hi, b)
     assert set(found) <= set(range(lo, hi + 1))
     for k in range(lo, hi + 1):
-        assert sorted(found.get(k, ())) == found_triples(search_k(k, b)), (k, b)
+        hits = search_module._triples(found.get(k, ()), b)
+        assert sorted(hits) == found_triples(search_k(k, b)), (k, b)
 
 
 def _no_work(*args):

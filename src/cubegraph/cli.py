@@ -132,7 +132,7 @@ def cmd_validate(args, out) -> int:
 def cmd_search(args, out) -> int:
     from . import search
 
-    result = search.search_k(args.k, search.SearchBounds(args.bound))
+    result = search.search_k(args.k, args.bound)
     _write_csv(out, args.out, [result])
     if result.skipped:
         out.write(f"k={args.k}: infeasible (class {residues.class_of(args.k)})\n")

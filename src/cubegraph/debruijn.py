@@ -87,13 +87,13 @@ class DeBruijnGraph(namedtuple("DeBruijnGraph", "alphabet order edges")):
 # The cap on a full graph B(k, n): k^n edges, with k counted as at least 2,
 # so a one-symbol alphabet's single edge is no longer than a binary edge.
 # Binary is the worst case for a given edge count: the longest grams and
-# the most nodes.  At the cap, B(01, 19), `graph` took 0.6-0.7 s at 15 MB
-# peak RSS (55 MB of DOT, written as it is made), `cycle` 0.15 s at 23 MB,
-# and `validate -` 0.2-0.3 s at 16 MB for an exact claim, 0.3-0.4 s at 16 MB
-# for its first 1,000 symbols (523,288 missing edges, named as they are
-# written) and 0.8-1.0 s at 53 MB for 2^19 random symbols, whose 138,296
-# repeated windows are sorted (one core of a 2-vCPU x86-64 machine, CPython
-# 3.11).  Above the cap only `graph` is measured: B(01, 22), 4.9 s at 15 MB.
+# the most nodes.  At the cap, B(01, 19), `graph` took 0.5-0.7 s at 14.6 MB
+# peak RSS (55 MB of DOT, written as it is made), `cycle` 0.15-0.18 s at
+# 22.7 MB, and `validate -` 0.17-0.20 s at 16.1 MB for an exact claim,
+# 0.35-0.38 s at 15.6 MB for its first 1,000 symbols (523,288 missing edges,
+# named as they are written) and 0.6-0.8 s at 51.4 MB for 2^19 random symbols,
+# whose ~138,000 repeated windows are sorted (CLI runs, one core of a shared
+# 2-vCPU x86-64 box, CPython 3.11).  Above the cap, `graph` B(01, 22): 5.0-5.3 s, 14.6 MB.
 MAX_DEBRUIJN_EDGES = 2 ** 19
 
 

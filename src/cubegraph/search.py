@@ -33,10 +33,10 @@ from .residues import TWO_CUBE_CLASSES, is_feasible, label_solution
 # The cap on `search` (one k, divisor method).  Its worst cases are k = 0 and
 # the cubes: z^3 = k mod d has many roots when k shares small prime factors
 # with d, and they have about B + 1 hits, each rechecked and printed.  At the
-# cap, `search 0 --bound 100000` took 2.7 s at 43 MB peak RSS (3.7M
-# candidates), `search 27000 --bound 100000` (30^3) 3.0-3.1 s at 42 MB
-# (4.4M), and `search 33 --bound 100000` 0.4 s at 21 MB (0.4M, no hits;
-# one core of a 2-vCPU x86-64 machine, CPython 3.11).
+# cap, `search 0 --bound 100000` took 4.0-4.8 s at 45.5 MB peak RSS (3.7M
+# candidates), `search 27000 --bound 100000` (30^3) 3.8-6.4 s at 44.8 MB
+# (4.4M), and `search 33 --bound 100000` 0.7 s at 21.7 MB (0.4M, no hits;
+# CLI runs on one core of a shared 2-vCPU x86-64 machine, CPython 3.11).
 MAX_SEARCH_BOUND = 100_000
 
 # The cap on `scan` (a k window, one sweep).  The sweep probes at most
@@ -44,32 +44,35 @@ MAX_SEARCH_BOUND = 100_000
 # reach [-3B^3, 3B^3]; a window narrow beside B^3 takes about 0.21 B^2.  A
 # width-1 window prunes z by mod 9, except k = 0 (mod 9): k = 0 alone takes
 # 20,632,013 probes at the cap, and `scan --from 0 --to 0 --bound 10000`
-# took 12.0 s at 17 MB peak RSS (1.7M probes/s, same machine).  The cost
-# grows as B^2, so B = 20,000 would take about 50 s.
+# took 9.4-11.5 s at 17.2 MB peak RSS (2M probes/s, same machine).  The cost
+# grows as B^2, so B = 20,000 would take about 40 s.
 MAX_SCAN_BOUND = 10_000
 
 # The widest k range one scan accepts.  A scan writes each k's rows as that
 # k comes and names the infeasible k in a second pass over the range, so it
 # holds no result per k, but its time still grows with the width, by about
 # 1 us a k at bound 1: at the cap, `scan --from 1 --to 1000000 --bound 1`
-# took 1.2-1.7 s at 14.7 MB peak RSS, against 14.5 MB for `classes` (same
+# took 0.8-1.0 s at 14.6 MB peak RSS, against 14.5 MB for `classes` (same
 # machine as above).
 MAX_SCAN_WIDTH = 1_000_000
 
 
+def _check_bound(bound: int, cap: int) -> None:
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    if bound > cap:
+        raise ValueError(f"bound {bound} exceeds the supported maximum {cap}")
+
+
 class SearchBounds(namedtuple("SearchBounds", "bound k_range")):
-    """Search box |x|,|y|,|z| <= bound, plus an optional inclusive k interval."""
+    """A scan's box |x|,|y|,|z| <= bound and its inclusive k window (lo, hi)."""
 
     __slots__ = ()
 
-    def __new__(cls, bound: int, k_range: tuple[int, int] | None = None):
-        if bound < 1:
-            raise ValueError(f"bound must be >= 1, got {bound}")
-        cap = MAX_SEARCH_BOUND if k_range is None else MAX_SCAN_BOUND
-        if bound > cap:
-            raise ValueError(f"bound {bound} exceeds the supported maximum {cap}")
-        if k_range is not None and k_range[1] - k_range[0] >= MAX_SCAN_WIDTH:
-            lo, hi = k_range
+    def __new__(cls, bound: int, k_range: tuple[int, int]):
+        _check_bound(bound, MAX_SCAN_BOUND)
+        lo, hi = k_range
+        if hi - lo >= MAX_SCAN_WIDTH:
             raise ValueError(f"k range {lo}..{hi} holds {hi - lo + 1} values, more than "
                              f"the supported maximum {MAX_SCAN_WIDTH}")
         return super().__new__(cls, bound, k_range)
@@ -97,7 +100,7 @@ class SearchStats(namedtuple("SearchStats", "pairs_scanned z_pruned", defaults=(
     d's window with d | k - z^3: `pairs_scanned` is the candidates that
     reached the perfect-square test, and `z_pruned` those the mod-9 sieve
     dropped before it.  Both are 0 for a k skipped as infeasible and for
-    every `scan_range` result, whose sweep shares its work across k;
+    every `iter_scan` result, whose sweep shares its work across k;
     `_sweep` returns its own two counts, x values probed and z values pruned."""
 
     __slots__ = ()
@@ -216,9 +219,10 @@ def _cube_roots_mod_prime_powers(k: int, p: int, top: int) -> list[tuple[int, li
     return powers
 
 
-def search_k(k: int, bounds: SearchBounds | int) -> SearchResult:
-    """All representations of k with |x|,|y|,|z| <= bound, deduplicated under
+def search_k(k: int, B: int) -> SearchResult:
+    """All representations of k with |x|,|y|,|z| <= B, deduplicated under
     x <= y <= z and sorted; skipped without work when k is in class 4 or 5.
+    B is checked first: one outside 1..MAX_SEARCH_BOUND raises ValueError.
 
     Divisor method (A. R. Booker, "Cracking the problem with 33", Res. Number
     Theory 5, 2019; A. R. Booker and A. V. Sutherland, "On a question of
@@ -237,11 +241,9 @@ def search_k(k: int, bounds: SearchBounds | int) -> SearchResult:
     Only hits with z the largest term are kept, so each multiset comes out
     once.  d = 0 leaves z^3 = k and the family (-t, t, z).  A k beyond 3B^3
     comes back empty without work: no box sum reaches it."""
-    if isinstance(bounds, int):
-        bounds = SearchBounds(bounds)
+    _check_bound(B, MAX_SEARCH_BOUND)
     if not is_feasible(k):
         return SearchResult(k, (), True, SearchStats())
-    B = bounds.bound
     if abs(k) > 3 * B ** 3:
         return SearchResult(k, (), False, SearchStats())
     hits = []
@@ -305,8 +307,6 @@ def iter_scan(bounds: SearchBounds):
     the sweep covers only the k in [-3B^3, 3B^3], the sums a box can reach.
     Each k's hits are dropped once its result is made: `cubegraph scan`
     writes each result as it comes, so it never holds a result per k."""
-    if bounds.k_range is None:
-        raise ValueError("scan_range needs bounds.k_range")
     start, stop = bounds.k_range
     B = bounds.bound
     reach = 3 * B ** 3

@@ -1085,6 +1085,8 @@ def test_search_rejects_oversized_bound(capsys):
 
 
 def test_search_bound_cap(capsys):
+    code, out, err = run(capsys, "search", "4", "--bound", "0")  # checked before the class-4 skip
+    assert (code, out, err) == (2, "", "error: bound must be >= 1, got 0\n")
     cap = search.MAX_SEARCH_BOUND
     code, out, err = run(capsys, "search", "4", "--bound", str(cap))  # class 4: no work
     assert (code, err) == (0, "")

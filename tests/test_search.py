@@ -76,10 +76,6 @@ def test_search_stats_record_sieve_pruning():
     assert result.stats.pairs_scanned > 0
 
 
-def test_search_accepts_bounds_object():
-    assert found_triples(search_k(29, SearchBounds(4))) == [(-3, -2, 4), (1, 1, 3)]
-
-
 def test_search_results_are_deterministic():
     a = search_k(15, 100)
     b = search_k(15, 100)
@@ -166,7 +162,7 @@ def test_search_values_are_immutable():
     with pytest.raises(AttributeError):
         rep.path = None
     with pytest.raises(AttributeError):
-        SearchBounds(5).bound = 6
+        SearchBounds(5, (1, 2)).bound = 6
 
 
 def test_search_stats_default_to_zero():
@@ -188,12 +184,14 @@ def test_search_k_labels_each_hit_once(monkeypatch):
 
 
 def test_bounds_validation():
+    # search_k checks its bound first, so even a class-4 k raises
     with pytest.raises(ValueError, match=r"^bound must be >= 1, got 0$"):
-        SearchBounds(0)
+        search_k(4, 0)
     with pytest.raises(ValueError, match=rf"^bound {MAX_SEARCH_BOUND + 1} exceeds the "
                        rf"supported maximum {MAX_SEARCH_BOUND}$"):
-        SearchBounds(MAX_SEARCH_BOUND + 1)
-    SearchBounds(MAX_SEARCH_BOUND)  # boundary is allowed
+        search_k(4, MAX_SEARCH_BOUND + 1)
+    # the boundary is allowed, and class 4 comes back skipped with no work
+    assert search_k(4, MAX_SEARCH_BOUND) == (4, (), True, SearchStats())
 
 
 @pytest.mark.parametrize("lo", [1, -MAX_SCAN_WIDTH // 2, -5 * MAX_SCAN_WIDTH])
@@ -275,11 +273,6 @@ def test_scan_range_memory_per_k_stays_small():
 
 def test_scan_range_empty():
     assert scan_range(SearchBounds(5, (3, 2))) == []
-
-
-def test_scan_range_requires_k_range():
-    with pytest.raises(ValueError, match=r"^scan_range needs bounds\.k_range$"):
-        scan_range(SearchBounds(5))
 
 
 def test_iter_scan_drops_each_k_s_hits_once_its_result_is_made(monkeypatch):
@@ -490,4 +483,9 @@ def test_scan_bound_has_its_own_cap():
     with pytest.raises(ValueError, match=rf"^bound {MAX_SCAN_BOUND + 1} exceeds the "
                        rf"supported maximum {MAX_SCAN_BOUND}$"):
         SearchBounds(MAX_SCAN_BOUND + 1, (1, 2))
-    SearchBounds(MAX_SCAN_BOUND + 1)  # one k: the search cap applies
+    with pytest.raises(ValueError, match=r"^bound must be >= 1, got 0$"):
+        SearchBounds(0, (1, 2))
+    with pytest.raises(TypeError):
+        SearchBounds(5)  # a scan's box always has a k window
+    # one k: the search cap applies
+    assert search_k(4, MAX_SCAN_BOUND + 1) == (4, (), True, SearchStats())

@@ -4,8 +4,8 @@ Exit codes are stable across subcommands: 0 success/complete, 1 validation
 failure, 2 usage or parse error, and 141 (128 + SIGPIPE), with nothing on
 stderr, when stdout is closed before the output ends, as `| head` does.
 Output goes to sys.stdout as it is produced, so memory does not grow with
-its size; `scan` writes each k's rows as that k's result is verified, and
-holds no result per k.  Identical invocations produce bytewise-identical
+its size; `scan` writes each row as it is verified, and works per k only
+to name the infeasible k.  Identical invocations produce bytewise-identical
 results.  sys.stdout buffers it: entrypoint turns write-through off once,
 so a run under PYTHONUNBUFFERED too passes its text on in pieces of 8 KiB,
 not a system call per line.  stdout carries results only.  Every error that
@@ -36,18 +36,17 @@ EXIT_CLOSED_STDOUT = 128 + 13  # the shell's code for a process killed by SIGPIP
 CSV_HEADER = "k,x,y,z,class,path\n"
 
 
-def _write_csv(out, path, results) -> int:
-    """CSV_HEADER and a row per representation of the SearchResults, each
-    result's rows written as it comes: into the file at path, with a
-    one-line note on out, or else on out.  Returns the rows written.  No
-    field needs quoting: each is an int or a label made of 0, 1, 8 and +."""
+def _write_csv(out, path, reps) -> int:
+    """CSV_HEADER and a row per Representation of the iterable reps, each
+    written as it comes: into the file at path, with a one-line note on out,
+    or else on out.  Returns the rows written.  No field needs quoting: each
+    is an int or a label made of 0, 1, 8 and +."""
     def write(fh):
         fh.write(CSV_HEADER)
         rows = 0
-        for res in results:
-            for rep in res.representations:
-                fh.write(f"{rep.k},{rep.x},{rep.y},{rep.z},{rep.k % 9},{rep.path}\n")
-            rows += len(res.representations)
+        for rep in reps:
+            fh.write(f"{rep.k},{rep.x},{rep.y},{rep.z},{rep.k % 9},{rep.path}\n")
+            rows += 1
         return rows
 
     if not path:
@@ -133,7 +132,7 @@ def cmd_search(args, out) -> int:
     from . import search
 
     result = search.search_k(args.k, args.bound)
-    _write_csv(out, args.out, [result])
+    _write_csv(out, args.out, result.representations)
     if result.skipped:
         out.write(f"k={args.k}: infeasible (class {residues.class_of(args.k)})\n")
     else:
@@ -148,7 +147,7 @@ def cmd_scan(args, out) -> int:
     if args.k_from > args.k_to:
         raise ValueError(f"--from {args.k_from} is greater than --to {args.k_to}")
     bounds = search.SearchBounds(args.bound, (args.k_from, args.k_to))
-    found = _write_csv(out, args.out, search.iter_scan(bounds))  # each k's rows as it comes
+    found = _write_csv(out, args.out, search.iter_scan(bounds))  # each row as it comes
     # which k are infeasible depends on the range alone: a second pass names them
     ks = range(args.k_from, args.k_to + 1)
     skipped = 0

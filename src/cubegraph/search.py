@@ -9,18 +9,18 @@ within the window of z that |x - y| <= 2B - d leaves.  A window of k
 [k_lo - z^3, k_hi - z^3], probing only the x whose pair sums can reach it and
 finding each x's largest y by bisection.  So the whole window costs about
 0.21 B^2 probes plus its hits, however many k it holds.  The scan then
-yields one verified result per k, in k order, dropping each k's hits once
-its result is made, so a caller that writes each result as it comes holds
-the sweep's hits, never a result per k.  The sweep beats one divisor search
-per k only for a wide window, of more than about B/75 values of k: at
-B = 3,000, 300 k took 0.97 s by the sweep against 7.2 s by divisor
-searches, but 20 k took 0.89 s against 0.49 s (in process, one core of a
-2-vCPU x86-64 machine, CPython 3.11).  Both find each solution multiset
-exactly once.  Two mod-9 sieves prune the work: targets in class 4 or 5 are
-skipped outright, and a z whose pair target k - z^3 is unreachable by two
-cubic residues is dropped (by the sweep only for a width-1 window).
-Verification is plain Python integers throughout, so literature-scale
-solutions with 16+ digit terms check exactly.
+yields the verified rows of only the k the sweep hit, in (k, x, y, z) order,
+dropping each k's hits once its rows are made, so a caller that writes each
+row as it comes holds the sweep's hits and does no work for a k without one.
+The sweep beats one divisor search per k only for a wide window, of more
+than about B/75 values of k: at B = 3,000, 300 k took 0.97 s by the sweep
+against 7.2 s by divisor searches, but 20 k took 0.89 s against 0.49 s (in
+process, one core of a 2-vCPU x86-64 machine, CPython 3.11).  Both find each
+solution multiset exactly once.  Two mod-9 sieves prune the work: targets in
+class 4 or 5 are skipped outright, and a z whose pair target k - z^3 is
+unreachable by two cubic residues is dropped (by the sweep only for a
+width-1 window).  Verification is plain Python integers throughout, so
+literature-scale solutions with 16+ digit terms check exactly.
 """
 
 from bisect import bisect_left, bisect_right
@@ -48,12 +48,11 @@ MAX_SEARCH_BOUND = 100_000
 # grows as B^2, so B = 20,000 would take about 40 s.
 MAX_SCAN_BOUND = 10_000
 
-# The widest k range one scan accepts.  A scan writes each k's rows as that
-# k comes and names the infeasible k in a second pass over the range, so it
-# holds no result per k, but its time still grows with the width, by about
-# 1 us a k at bound 1: at the cap, `scan --from 1 --to 1000000 --bound 1`
-# took 0.8-1.0 s at 14.6 MB peak RSS, against 14.5 MB for `classes` (same
-# machine as above).
+# The widest k range one scan accepts.  A scan does no work for a k its sweep
+# does not hit, so what grows with the width is only the CLI's pass that names
+# the infeasible k (222,222 lines at the cap): `scan --from 1 --to 1000000
+# --bound 1` took 0.37-0.42 s at 14.6 MB peak RSS, against 14.5-14.6 MB for
+# `classes` (CLI runs, same machine as above).
 MAX_SCAN_WIDTH = 1_000_000
 
 
@@ -99,14 +98,14 @@ class SearchStats(namedtuple("SearchStats", "pairs_scanned z_pruned", defaults=(
     """Work counts of one `search_k`.  A candidate is a live d and a z in
     d's window with d | k - z^3: `pairs_scanned` is the candidates that
     reached the perfect-square test, and `z_pruned` those the mod-9 sieve
-    dropped before it.  Both are 0 for a k skipped as infeasible and for
-    every `iter_scan` result, whose sweep shares its work across k;
-    `_sweep` returns its own two counts, x values probed and z values pruned."""
+    dropped before it.  Both are 0 for a k skipped as infeasible.  A scan
+    has no SearchStats, since its sweep shares its work across k: `_sweep`
+    returns its own two counts, x values probed and z values pruned."""
 
     __slots__ = ()
 
 
-# representations: a tuple of Representation, sorted lexicographically on (x, y, z)
+# search_k's answer; representations: a tuple of Representation, sorted on (x, y, z)
 SearchResult = namedtuple("SearchResult", "k representations skipped stats")
 
 
@@ -291,30 +290,24 @@ def search_k(k: int, B: int) -> SearchResult:
     return SearchResult(k, _verified(k, hits), False, SearchStats(pairs, pruned))
 
 
-def scan_range(bounds: SearchBounds, workers: int | None = None) -> list[SearchResult]:
-    """The list of what iter_scan(bounds) yields, for a caller that wants
-    every result at once; the benchmark's tracer (perfbench/tracing.py) is
-    the only one left.  `workers` is accepted for compatibility and has no
+def scan_range(bounds: SearchBounds, workers: int | None = None) -> list[Representation]:
+    """The list of the rows iter_scan(bounds) yields, for a caller that wants
+    them all at once; the benchmark's tracer (perfbench/tracing.py) is the
+    only one left.  `workers` is accepted for compatibility and has no
     effect: output is the same for any value."""
     return list(iter_scan(bounds))
 
 
 def iter_scan(bounds: SearchBounds):
-    """One SearchResult per k in bounds.k_range, in k order, each verified
-    when it is reached, from a single windowed sweep over the whole range.
-    Infeasible k (class 4 or 5) come back skipped; every result carries an
-    empty SearchStats(), because the sweep's work is shared across k, and
-    the sweep covers only the k in [-3B^3, 3B^3], the sums a box can reach.
-    Each k's hits are dropped once its result is made: `cubegraph scan`
-    writes each result as it comes, so it never holds a result per k."""
+    """Every verified Representation of a k in bounds.k_range, in (k, x, y, z)
+    order, from one sweep over the part of the range in [-3B^3, 3B^3], the
+    sums a box can reach.  A k with no hit, such as one in class 4 or 5,
+    costs no call.  Each k's hits are dropped as its rows are made, so a
+    caller that writes each row as it comes holds only the sweep's buckets."""
     start, stop = bounds.k_range
     B = bounds.bound
     reach = 3 * B ** 3
     lo, hi = max(start, -reach), min(stop, reach)
     found = _sweep(lo, hi, B)[0] if lo <= hi else {}
-    stats = SearchStats()
-    for k in range(start, stop + 1):
-        # no cube sum is 4 or 5 mod 9, so an infeasible k has no hits to verify
-        hits = found.pop(k, None)  # None for the many k with no hit: no call made
-        reps = _verified(k, _triples(hits, B)) if hits else ()
-        yield SearchResult(k, reps, not is_feasible(k), stats)
+    for k in sorted(found):
+        yield from _verified(k, _triples(found.pop(k), B))

@@ -111,12 +111,12 @@ def utf8_lines(fh):
         yield from lines
 
 
-def search_csv(results) -> str:
-    """The CSV of SearchResults as csv.writer writes it: the header, then a
+def search_csv(reps) -> str:
+    """The CSV of Representations as csv.writer writes it: the header, then a
     row k,x,y,z,class,path per representation."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "x", "y", "z", "class", "path"])
     writer.writerows([rep.k, rep.x, rep.y, rep.z, class_of(rep.k), rep.path]
-                     for res in results for rep in res.representations)
+                     for rep in reps)
     return buf.getvalue()

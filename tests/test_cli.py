@@ -431,12 +431,12 @@ def test_scan_worker_count_does_not_change_bytes(capsys, tmp_path):
 @example(-3 * 30 ** 3, 0, 30)
 def test_search_and_scan_csv_match_the_csv_writer(tmp_path_factory, k, width, bound):
     path = tmp_path_factory.getbasetemp() / "rows.csv"
-    for argv, results in [
-        (["search", str(k), "--bound", str(bound)], [search.search_k(k, bound)]),
+    for argv, reps in [
+        (["search", str(k), "--bound", str(bound)], search.search_k(k, bound).representations),
         (["scan", "--from", str(k), "--to", str(k + width), "--bound", str(bound)],
          search.scan_range(search.SearchBounds(bound, (k, k + width)))),
     ]:
-        want = search_csv(results)
+        want = search_csv(reps)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main(argv) == 0

@@ -1,4 +1,3 @@
-import tracemalloc
 from functools import lru_cache
 from math import isqrt
 from operator import attrgetter
@@ -245,30 +244,24 @@ def test_divisor_cost_model(k, b):
     assert stats.z_pruned == sum((k - z ** 3) % 9 not in TWO_CUBE_CLASSES for z in candidates)
 
 
-def test_scan_range_marks_infeasible():
-    results = scan_range(SearchBounds(50, (1, 20)))
-    assert [r.k for r in results] == list(range(1, 21))
-    assert {r.k for r in results if r.skipped} == {4, 5, 13, 14}
-    assert all(r.representations == () for r in results if r.skipped)
+def scanned(rows):
+    return [(rep.k, rep.x, rep.y, rep.z) for rep in rows]
 
 
 def test_scan_range_zero():
-    results = scan_range(SearchBounds(2, (0, 0)))
-    assert found_triples(results[0]) == [(-2, 0, 2), (-1, 0, 1), (0, 0, 0)]
+    rows = scan_range(SearchBounds(2, (0, 0)))
+    assert scanned(rows) == [(0, -2, 0, 2), (0, -1, 0, 1), (0, 0, 0, 0)]
 
 
-def test_scan_range_memory_per_k_stays_small():
-    # a k with no hit stores no bucket and shares one empty SearchStats: at
-    # 292 B per k, it had both of its own
-    width = 100_000
-    tracemalloc.start()
-    try:
-        results = scan_range(SearchBounds(1, (1, width)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(results) == width
-    assert peak < 160 * width
+def test_scan_at_the_width_cap_verifies_only_the_k_it_hits(monkeypatch):
+    # a k without a hit costs the scan no object and no call: of the
+    # 1,000,000 k at bound 1, only 1, 2 and 3 have a representation
+    verified, calls = search_module._verified, []
+    monkeypatch.setattr(search_module, "_verified",
+                        lambda k, triples: calls.append(k) or verified(k, triples))
+    rows = scan_range(SearchBounds(1, (1, MAX_SCAN_WIDTH)))
+    assert scanned(rows) == [(1, -1, 1, 1), (1, 0, 0, 1), (2, 0, 1, 1), (3, 1, 1, 1)]
+    assert calls == [1, 2, 3]
 
 
 def test_scan_range_empty():
@@ -276,7 +269,7 @@ def test_scan_range_empty():
 
 
 def test_iter_scan_drops_each_k_s_hits_once_its_result_is_made(monkeypatch):
-    # the scan holds the sweep's buckets, not a result per k
+    # the scan holds the sweep's buckets, not a row per k
     sweep, swept = search_module._sweep, []
     monkeypatch.setattr(search_module, "_sweep",
                         lambda lo, hi, B: swept.append(sweep(lo, hi, B)) or swept[-1])
@@ -284,7 +277,7 @@ def test_iter_scan_drops_each_k_s_hits_once_its_result_is_made(monkeypatch):
     scan = search_module.iter_scan(bounds)
     first = next(scan)
     found = swept[0][0]
-    assert first.k == -5 and -5 not in found and 2 in found
+    assert first.k == -3 and -3 not in found and 2 in found
     rest = list(scan)
     assert found == {}
     assert [first, *rest] == scan_range(bounds)
@@ -320,14 +313,10 @@ def test_search_stats_count_the_same_work_for_any_hit_count():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(-300, 300), st.integers(0, 400))
 def test_scan_range_matches_oracle_property(bound, start, width):
-    stop = start + width
-    results = scan_range(SearchBounds(bound, (start, stop)))
-    assert [r.k for r in results] == list(range(start, stop + 1))
-    for r in results:
-        assert r.skipped == (class_of(r.k) in (4, 5))
-        assert found_triples(r) == oracle_search(r.k, bound), (r.k, bound)
-        if not r.skipped:
-            assert found_triples(r) == found_triples(search_k(r.k, bound))
+    ks = range(start, start + width + 1)
+    rows = scan_range(SearchBounds(bound, (ks[0], ks[-1])))
+    assert scanned(rows) == [(k, *t) for k in ks for t in oracle_search(k, bound)]
+    assert rows == [rep for k in ks for rep in search_k(k, bound).representations]
 
 
 @settings(max_examples=200, deadline=None)
@@ -403,16 +392,12 @@ def test_scan_sweeps_only_the_k_a_box_reaches(monkeypatch):
     calls = []
     monkeypatch.setattr(search_module, "_sweep",
                         lambda lo, hi, B: calls.append((lo, hi)) or sweep(lo, hi, B))
-    results = scan_range(SearchBounds(b, (reach - 3, reach + 5)))
+    rows = scan_range(SearchBounds(b, (reach - 3, reach + 5)))
     assert calls == [(reach - 3, reach)]
-    assert [r.k for r in results] == list(range(reach - 3, reach + 6))
-    assert [found_triples(r) for r in results[3:]] == [[(2, 2, 2)]] + [[]] * 5
+    assert scanned(rows) == [(reach, 2, 2, 2)]
     monkeypatch.setattr(search_module, "_sweep", _no_work)
     for window in [(reach + 1, reach + 10), (-reach - 10, -reach - 1)]:
-        results = scan_range(SearchBounds(b, window))
-        assert [r.k for r in results] == list(range(window[0], window[1] + 1))
-        assert [r.skipped for r in results] == [not is_feasible(r.k) for r in results]
-        assert all(r.representations == () for r in results)
+        assert scan_range(SearchBounds(b, window)) == []
 
 
 def test_prime_sieve_matches_trial_division():

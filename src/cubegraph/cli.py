@@ -4,7 +4,7 @@ Exit codes are stable across subcommands: 0 success/complete, 1 validation
 failure, 2 usage or parse error, and 141 (128 + SIGPIPE), with nothing on
 stderr, when stdout is closed before the output ends, as `| head` does.
 Output goes to sys.stdout as it is produced, so memory does not grow with
-its size; `scan` writes each row as it is verified, and works per k only
+its size; `scan` writes each row as it is verified, and steps by 9 only
 to name the infeasible k.  Identical invocations produce bytewise-identical
 results.  sys.stdout buffers it: entrypoint turns write-through off once,
 so a run under PYTHONUNBUFFERED too passes its text on in pieces of 8 KiB,
@@ -148,13 +148,15 @@ def cmd_scan(args, out) -> int:
         raise ValueError(f"--from {args.k_from} is greater than --to {args.k_to}")
     bounds = search.SearchBounds(args.bound, (args.k_from, args.k_to))
     found = _write_csv(out, args.out, search.iter_scan(bounds))  # each row as it comes
-    # which k are infeasible depends on the range alone: a second pass names them
+    # which k are infeasible depends on the range alone: a second pass names
+    # them, base + 4 and base + 5 (classes 4 and 5) for each multiple of 9, base
     ks = range(args.k_from, args.k_to + 1)
     skipped = 0
-    for k in ks:
-        if not residues.is_feasible(k):
-            skipped += 1
-            out.write(f"k={k}: infeasible (class {residues.class_of(k)})\n")
+    for base in range(args.k_from - args.k_from % 9, args.k_to + 1, 9):
+        for k in (base + 4, base + 5):
+            if k in ks:
+                skipped += 1
+                out.write(f"k={k}: infeasible (class {k - base})\n")
     out.write(f"scanned {len(ks)} value(s) of k: {found} representation(s), "
               f"{skipped} infeasible\n")
     return EXIT_OK
@@ -189,7 +191,11 @@ def _checked(line):
     return line
 
 
-def _utf8_lines(fh):
+_PLAIN_BYTES = b"0123456789,-\r\n"  # all a plain block holds: translate deletes them
+_FIELD_STARTS = bytes.maketrans(b"-\r\n", b",,,")  # then ",0" finds 0... and -0... alike
+
+
+def _utf8_lines(fh, plain=None):
     """The lines of the text file fh, a block of whole lines at a time.  fh
     is opened with newline="", so its lines end at \n, \r\n or \r, as
     csv.reader counts them, and with errors="surrogateescape", so a byte that
@@ -199,13 +205,26 @@ def _utf8_lines(fh):
     before it, and a decode error's position counts from the start of that
     line.  A byte-order mark is not part of the first column's name: it is
     dropped from line 1 after this check, so its 3 bytes count in a position
-    there."""
+    there.
+
+    Given a one-item list plain, each block sets plain[0] before its first
+    line is yielded: True when the block holds only digits, commas, "-" and
+    line ends, no field starts with 0 or -0, and no block so far has held a
+    quote, which could open a field that runs on into this block.  Then each
+    line is one record, and str() spells every field that int() accepts
+    exactly as it is written."""
     bom = "\ufeff"
+    quoted = False
     while lines := fh.readlines(_READ_SIZE):
         try:  # UTF-8 spells U+0000 alone with a 0 byte
-            clean = b"\0" not in "".join(lines).encode("utf-8")
+            data = "".join(lines).encode("utf-8")
+            clean = b"\0" not in data
         except UnicodeEncodeError:
-            clean = False
+            data, clean = b'"', False  # its quotes cannot be seen: as if it had one
+        if plain is not None:
+            quoted = quoted or b'"' in data
+            plain[0] = (not quoted and not data.translate(None, _PLAIN_BYTES)
+                        and b",0" not in b"," + data.translate(_FIELD_STARTS))
         lines = iter(lines if clean else map(_checked, lines))
         yield next(lines).removeprefix(bom)
         bom = ""
@@ -216,10 +235,12 @@ def cmd_verify_corpus(args, out) -> int:
     import csv
 
     parse_errors = invalid = valid = 0
+    plain = [False]  # whether the block of the row's last line is plain
+    tails = {}  # the OK line's end, by the (path, signed) labels, which decide the class
     try:  # an error that stops the run names file and line; main puts it on stderr
         with open(args.corpus, encoding="utf-8", errors="surrogateescape",
                   newline="") as fh:
-            reader = csv.reader(_utf8_lines(fh))
+            reader = csv.reader(_utf8_lines(fh, plain))
             header = next(reader, None)  # the first record, even a blank one
             if header is None or not {"k", "x", "y", "z"} <= set(header):
                 raise ValueError(f"{args.corpus}: header must contain columns k,x,y,z")
@@ -230,25 +251,31 @@ def cmd_verify_corpus(args, out) -> int:
                     continue  # a blank line
                 # the file line the record ends on: a quoted field can span lines
                 i = reader.line_num
-                try:
-                    # a short row raises IndexError.  int alone would strip
-                    # too, but not the separators \x1c-\x1f
-                    k, x, y, z = (int(row[ik].strip()), int(row[ix].strip()),
-                                  int(row[iy].strip()), int(row[iz].strip()))
+                try:  # a short row raises IndexError
+                    try:
+                        k, x, y, z = int(row[ik]), int(row[ix]), int(row[iy]), int(row[iz])
+                    except ValueError:  # int skips whitespace, but not the separators \x1c-\x1f
+                        k, x, y, z = (int(row[ik].strip()), int(row[ix].strip()),
+                                      int(row[iy].strip()), int(row[iz].strip()))
                 except (IndexError, ValueError):
                     parse_errors += 1
                     out.write(f"line {i}: parse error in {_row_dict(header, row)!r}\n")
                     continue
                 try:
-                    path, signed = residues.labels(x, y, z, k)  # same for any term order
+                    key = residues.labels(x, y, z, k)  # same for any term order
                 except residues.CubeSumMismatch as err:
                     invalid += 1
                     out.write(f"line {i}: k={k} ({x},{y},{z}) "
                               f"INVALID sum={residues.exact_str(err.actual_sum)}\n")
                     continue
                 valid += 1
-                out.write(f"line {i}: k={k} ({x},{y},{z}) OK class={k % 9} "
-                          f"path={path} signed={signed}\n")
+                tail = tails.get(key)
+                if tail is None:
+                    tail = tails[key] = "OK class={} path={} signed={}\n".format(k % 9, *key)
+                if plain[0]:  # each term as it was read: str() would spell it the same
+                    out.write(f"line {i}: k={row[ik]} ({row[ix]},{row[iy]},{row[iz]}) {tail}")
+                else:
+                    out.write(f"line {i}: k={k} ({x},{y},{z}) {tail}")
     except csv.Error as err:  # e.g. a field over csv.field_size_limit()
         raise ValueError(f"{args.corpus}: line {reader.line_num}: {err}") from None
     except (UnicodeDecodeError, _NulLine) as err:  # from the line after the last one read

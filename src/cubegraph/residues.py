@@ -103,7 +103,7 @@ def labels(x: int, y: int, z: int, k: int) -> tuple[str, str]:
     Raises CubeSumMismatch when the cubes do not sum to k (corrupt row).
     The path is always the spelling of a member of decompose(class_of(k)).
     """
-    if x**3 + y**3 + z**3 != k:
+    if x * x * x + y * y * y + z * z * z != k:
         raise CubeSumMismatch(x, y, z, k)
     return _LABELS[_ENTRY[x < 0][x % 9], _ENTRY[y < 0][y % 9], _ENTRY[z < 0][z % 9]]
 

@@ -95,13 +95,15 @@ def _nul_free(line):
     return line
 
 
-def utf8_lines(fh):
+def utf8_lines(fh, plain=None):
     """The lines of the binary file fh as csv.reader counts them, ended by
     \n, \r\n or \r, each decoded from UTF-8 on its own, with a byte-order
     mark dropped from line 1 after decoding; a line holding a NUL raises
     cli._NulLine once decoded.  Given a text file, it reads the binary file
     under it, fh.buffer, so that it can stand in for cli._utf8_lines, which
-    reads a text file a block of lines at a time; the tests compare the two."""
+    reads a text file a block of lines at a time; the tests compare the two.
+    It takes cli._utf8_lines' plain flag and never sets it, so a run that
+    reads through it prints every term from its int."""
     lines = (_nul_free(line.decode("utf-8"))
              for chunk in getattr(fh, "buffer", fh)  # ends at \n, and may hold lines ended by \r
              for line in chunk.splitlines(keepends=True))

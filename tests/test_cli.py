@@ -441,6 +441,12 @@ def test_search_and_scan_csv_match_the_csv_writer(tmp_path_factory, k, width, bo
         with contextlib.redirect_stdout(out):
             assert cli.main(argv) == 0
         assert out.getvalue().startswith(want), argv
+        if argv[0] == "scan":  # then each k of class 4 or 5, and the summary
+            infeasible = [j for j in range(k, k + width + 1) if j % 9 in (4, 5)]
+            assert out.getvalue()[len(want):] == "".join(
+                f"k={j}: infeasible (class {j % 9})\n" for j in infeasible) + (
+                f"scanned {width + 1} value(s) of k: {len(reps)} representation(s), "
+                f"{len(infeasible)} infeasible\n")
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main(argv + ["--out", str(path)]) == 0
@@ -728,14 +734,56 @@ def corpus_texts(draw):
     return end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
+# terms that int() reads and str() spells otherwise, each in a row of its own
+# between plain rows: with blocks of one line, the plain and the other alternate
+_SPELLINGS = ("k,x,y,z\n" + "29,1,1,3\n".join([
+    "", "345,007,1,1\n", "029,1,1,3\n", "9,1,2,-0\n", "9,1,2,0\n", "0,1,-1,0\n",
+    "-10,-1,-1,-2\n", "-010,-1,-1,-2\n", "127,+5,1,1\n", "1000000002,1_000,1,1\n",
+    "29,\u0663,1,1\n", "29,1,1,3 \n", ""]))
+# a quote opens a field that runs on through blocks that hold only line ends
+_UNTERMINATED = "k,x,y,z\n" + "29,1,1,3\n" * 400 + '29,1,1,"3' + "\n" * 40_000
+
+
 @settings(max_examples=300, deadline=None)
 @given(corpus_texts())
 @example('\nk,x,y,z\n29,1,1,3\n')  # the header is the first record, even a blank one
 @example('k,x,y,z\n\n"29\n",1,1,"\n3"\n1,2\n35,1,2,3,4\n1,one,2,3,4,5\n')
+@example(_SPELLINGS)
+@example(_SPELLINGS.replace("\n", "\r\n"))
+@example(_UNTERMINATED)
 def test_verify_corpus_matches_the_dict_reader_loop(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "differential.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+    want = _verify_corpus_with_dict_reader(str(path))
+    for read_size in (cli._READ_SIZE, 1):  # then a block a line
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(cli, "_READ_SIZE", read_size):
+            code = cli.main(["verify-corpus", str(path)])
+        assert (code, out.getvalue(), err.getvalue()) == want
+
+
+# what int() and str.strip() treat as space, or as a digit, and what they do not
+_TERM_CHARS = "0123456789+-_ \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2003\u3000\u0663\uff11"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(_TERM_CHARS, max_size=6), min_size=1, max_size=8))
+@example(["\x1c5", " 5\x85", "\u3000-\u0663\uff11 ", "+_1", "1__0", "\n7\r"])
+def test_verify_corpus_parses_a_term_as_int_of_the_stripped_field(tmp_path_factory, terms):
+    # each term is read first as int(field), then as int(field.strip()) only
+    # if that raises: the values and the errors must be those of the second
+    rows = []
+    for term in terms:
+        try:
+            k = int(term.strip()) ** 3
+        except ValueError:
+            k = 1
+        rows.append(f"{k}," + _quote(term) + ",0,0")
+    path = tmp_path_factory.getbasetemp() / "terms.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("k,x,y,z\n" + "\n".join(rows) + "\n")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["verify-corpus", str(path)])
@@ -1053,6 +1101,40 @@ def test_verify_corpus_checks_the_benchmark_corpus(capsys, monkeypatch, tmp_path
     for i, ((k, x, y, z, valid), line) in enumerate(zip(cp.rows, lines)):
         labels = "{} signed={}".format(*spelled_labels(x, y, z)) if valid else ""
         assert line == cp.expected_line(i) + labels
+
+
+def test_verify_corpus_reads_the_benchmark_corpus_in_plain_blocks(capsys, monkeypatch, tmp_path):
+    # the header makes the first block not plain; the rows that follow are
+    # canonical, so every later block prints its terms as they were read
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+
+    real, flags = cli._utf8_lines, []
+
+    class Blocks:
+        """fh, counting the blocks read from it."""
+
+        def __init__(self, fh):
+            self.fh, self.read = fh, 0
+
+        def readlines(self, hint):
+            self.read += 1
+            return self.fh.readlines(hint)
+
+    def recording(fh, plain=None):
+        blocks = Blocks(fh)
+        for line in real(blocks, plain):
+            if blocks.read > len(flags):  # the first line of a block
+                flags.append(plain[0])
+            yield line
+
+    monkeypatch.setattr(cli, "_utf8_lines", recording)
+    cp = corpus.generate(7, 2000)
+    path = tmp_path / "corpus.csv"
+    path.write_text(cp.text, encoding="utf-8")
+    code, out, err = run(capsys, "verify-corpus", str(path))
+    assert (code, err, out.splitlines()[-1]) == (cp.expected_code, "", cp.expected_summary)
+    assert flags == [False] + [True] * 7
 
 
 @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])

@@ -17,15 +17,13 @@ stdout empty, and one found mid-run keeps every line before it, read from a
 file or a pipe alike.  A run started with stdout closed gets that one
 `error:` line and exit 2; a run started with stderr closed exits as it
 would, with its `error:` line nowhere.  Each subcommand imports its own layer
-(search, debruijn, csv) when it runs, so a process compiles and loads only
-the modules its subcommand needs.
+(residues, search, debruijn, corpus) when it runs, so a process compiles and
+loads only the modules its subcommand needs.
 """
 
 import argparse
 import os
 import sys
-
-from . import residues  # main names residues.CubeSumMismatch
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -58,6 +56,8 @@ def _write_csv(out, path, reps) -> int:
 
 
 def cmd_classes(args, out) -> int:
+    from . import residues
+
     for z in range(9):
         triples = residues.decompose(z)
         if not triples:
@@ -129,7 +129,7 @@ def cmd_validate(args, out) -> int:
 
 
 def cmd_search(args, out) -> int:
-    from . import search
+    from . import residues, search
 
     result = search.search_k(args.k, args.bound)
     _write_csv(out, args.out, result.representations)
@@ -162,125 +162,10 @@ def cmd_scan(args, out) -> int:
     return EXIT_OK
 
 
-def _row_dict(header: list[str], row: list[str]) -> dict:
-    """The row as csv.DictReader shows it: a repeated name keeps its last
-    cell, a short row's missing cells are None, a long row's extra cells are
-    listed under the key None."""
-    d = dict(zip(header, row))
-    if len(header) < len(row):
-        d[None] = row[len(header):]
-    for name in header[len(row):]:
-        d[name] = None
-    return d
-
-
-_READ_SIZE = 1 << 14  # 64 KiB blocks were no faster and raised peak RSS
-
-
-class _NulLine(ValueError):
-    """A corpus line holding a NUL.  csv.reader stops at one on Python 3.10
-    and reads it as data on 3.11+, so _utf8_lines stops there on each."""
-
-
-def _checked(line):
-    """line decoded again from its own bytes, so that a byte that is not
-    UTF-8 raises with its position in the line; a NUL raises _NulLine."""
-    line = line.encode("utf-8", "surrogateescape").decode("utf-8")
-    if "\0" in line:
-        raise _NulLine("line contains NUL")
-    return line
-
-
-_PLAIN_BYTES = b"0123456789,-\r\n"  # all a plain block holds: translate deletes them
-_FIELD_STARTS = bytes.maketrans(b"-\r\n", b",,,")  # then ",0" finds 0... and -0... alike
-
-
-def _utf8_lines(fh, plain=None):
-    """The lines of the text file fh, a block of whole lines at a time.  fh
-    is opened with newline="", so its lines end at \n, \r\n or \r, as
-    csv.reader counts them, and with errors="surrogateescape", so a byte that
-    is not UTF-8 arrives as a lone surrogate, which does not encode.  Each
-    line of a block that holds one, or a NUL, is _checked on its own, so the
-    bad line raises only when csv.reader asks for it, after every record
-    before it, and a decode error's position counts from the start of that
-    line.  A byte-order mark is not part of the first column's name: it is
-    dropped from line 1 after this check, so its 3 bytes count in a position
-    there.
-
-    Given a one-item list plain, each block sets plain[0] before its first
-    line is yielded: True when the block holds only digits, commas, "-" and
-    line ends, no field starts with 0 or -0, and no block so far has held a
-    quote, which could open a field that runs on into this block.  Then each
-    line is one record, and str() spells every field that int() accepts
-    exactly as it is written."""
-    bom = "\ufeff"
-    quoted = False
-    while lines := fh.readlines(_READ_SIZE):
-        try:  # UTF-8 spells U+0000 alone with a 0 byte
-            data = "".join(lines).encode("utf-8")
-            clean = b"\0" not in data
-        except UnicodeEncodeError:
-            data, clean = b'"', False  # its quotes cannot be seen: as if it had one
-        if plain is not None:
-            quoted = quoted or b'"' in data
-            plain[0] = (not quoted and not data.translate(None, _PLAIN_BYTES)
-                        and b",0" not in b"," + data.translate(_FIELD_STARTS))
-        lines = iter(lines if clean else map(_checked, lines))
-        yield next(lines).removeprefix(bom)
-        bom = ""
-        yield from lines
-
-
 def cmd_verify_corpus(args, out) -> int:
-    import csv
+    from . import corpus
 
-    parse_errors = invalid = valid = 0
-    plain = [False]  # whether the block of the row's last line is plain
-    tails = {}  # the OK line's end, by the (path, signed) labels, which decide the class
-    try:  # an error that stops the run names file and line; main puts it on stderr
-        with open(args.corpus, encoding="utf-8", errors="surrogateescape",
-                  newline="") as fh:
-            reader = csv.reader(_utf8_lines(fh, plain))
-            header = next(reader, None)  # the first record, even a blank one
-            if header is None or not {"k", "x", "y", "z"} <= set(header):
-                raise ValueError(f"{args.corpus}: header must contain columns k,x,y,z")
-            column = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
-            ik, ix, iy, iz = column["k"], column["x"], column["y"], column["z"]
-            for row in reader:
-                if not row:
-                    continue  # a blank line
-                # the file line the record ends on: a quoted field can span lines
-                i = reader.line_num
-                try:  # a short row raises IndexError
-                    try:
-                        k, x, y, z = int(row[ik]), int(row[ix]), int(row[iy]), int(row[iz])
-                    except ValueError:  # int skips whitespace, but not the separators \x1c-\x1f
-                        k, x, y, z = (int(row[ik].strip()), int(row[ix].strip()),
-                                      int(row[iy].strip()), int(row[iz].strip()))
-                except (IndexError, ValueError):
-                    parse_errors += 1
-                    out.write(f"line {i}: parse error in {_row_dict(header, row)!r}\n")
-                    continue
-                try:
-                    key = residues.labels(x, y, z, k)  # same for any term order
-                except residues.CubeSumMismatch as err:
-                    invalid += 1
-                    out.write(f"line {i}: k={k} ({x},{y},{z}) "
-                              f"INVALID sum={residues.exact_str(err.actual_sum)}\n")
-                    continue
-                valid += 1
-                tail = tails.get(key)
-                if tail is None:
-                    tail = tails[key] = "OK class={} path={} signed={}\n".format(k % 9, *key)
-                if plain[0]:  # each term as it was read: str() would spell it the same
-                    out.write(f"line {i}: k={row[ik]} ({row[ix]},{row[iy]},{row[iz]}) {tail}")
-                else:
-                    out.write(f"line {i}: k={k} ({x},{y},{z}) {tail}")
-    except csv.Error as err:  # e.g. a field over csv.field_size_limit()
-        raise ValueError(f"{args.corpus}: line {reader.line_num}: {err}") from None
-    except (UnicodeDecodeError, _NulLine) as err:  # from the line after the last one read
-        raise ValueError(f"{args.corpus}: line {reader.line_num + 1}: {err}") from None
-
+    valid, invalid, parse_errors = corpus.verify(args.corpus, out)
     out.write(f"{valid} valid, {invalid} invalid, {parse_errors} parse error(s)\n")
     if parse_errors:
         return EXIT_USAGE
@@ -356,8 +241,6 @@ def main(argv=None) -> int:
             return args.func(args, sys.stdout)
         finally:
             sys.stdout.flush()  # what was produced before an error comes first
-    except residues.CubeSumMismatch:
-        raise  # a search hit that fails its exact recheck is a bug, not bad input
     except BrokenPipeError:
         return EXIT_CLOSED_STDOUT  # the reader is gone: there is no one to tell
     except (ValueError, OSError) as err:

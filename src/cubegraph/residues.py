@@ -22,8 +22,10 @@ INFEASIBLE_CLASSES = frozenset({4, 5})
 TWO_CUBE_CLASSES = frozenset((a + b) % 9 for a in CUBIC_RESIDUES for b in CUBIC_RESIDUES)
 
 
-class CubeSumMismatch(ValueError):
-    """Raised when x^3 + y^3 + z^3 does not equal the claimed k."""
+class CubeSumMismatch(Exception):
+    """Raised when x^3 + y^3 + z^3 does not equal the claimed k.  Not a
+    ValueError: a search hit that fails its exact recheck is a bug, not bad
+    input, so the CLI's usage-error handler lets it through."""
 
     def __init__(self, x: int, y: int, z: int, k: int):
         self.actual_sum = x**3 + y**3 + z**3

@@ -5,7 +5,7 @@ import io
 from collections import Counter, namedtuple
 from itertools import product
 
-from cubegraph.cli import _NulLine
+from cubegraph.corpus import _NulLine
 from cubegraph.debruijn import DeBruijnGraph, check_order
 from cubegraph.residues import class_of
 
@@ -99,10 +99,10 @@ def utf8_lines(fh, plain=None):
     """The lines of the binary file fh as csv.reader counts them, ended by
     \n, \r\n or \r, each decoded from UTF-8 on its own, with a byte-order
     mark dropped from line 1 after decoding; a line holding a NUL raises
-    cli._NulLine once decoded.  Given a text file, it reads the binary file
-    under it, fh.buffer, so that it can stand in for cli._utf8_lines, which
+    corpus._NulLine once decoded.  Given a text file, it reads the binary file
+    under it, fh.buffer, so that it can stand in for corpus._utf8_lines, which
     reads a text file a block of lines at a time; the tests compare the two.
-    It takes cli._utf8_lines' plain flag and never sets it, so a run that
+    It takes corpus._utf8_lines' plain flag and never sets it, so a run that
     reads through it prints every term from its int."""
     lines = (_nul_free(line.decode("utf-8"))
              for chunk in getattr(fh, "buffer", fh)  # ends at \n, and may hold lines ended by \r

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from collections import defaultdict
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cubegraph.corpus
 from cubegraph import cli, debruijn, residues, search
 
 from oracles import build_graph, search_csv, spelled_labels, to_dot, utf8_lines
@@ -756,10 +756,10 @@ def test_verify_corpus_matches_the_dict_reader_loop(tmp_path_factory, text):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     want = _verify_corpus_with_dict_reader(str(path))
-    for read_size in (cli._READ_SIZE, 1):  # then a block a line
+    for read_size in (cubegraph.corpus._READ_SIZE, 1):  # then a block a line
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                mock.patch.object(cli, "_READ_SIZE", read_size):
+                mock.patch.object(cubegraph.corpus, "_READ_SIZE", read_size):
             code = cli.main(["verify-corpus", str(path)])
         assert (code, out.getvalue(), err.getvalue()) == want
 
@@ -1017,8 +1017,8 @@ def test_block_reader_yields_the_lines_of_the_per_line_reader(data, size, chunk)
     fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape",
                           newline="")
     fh._CHUNK_SIZE = chunk
-    with mock.patch.object(cli, "_READ_SIZE", size):
-        got = _drain(cli._utf8_lines(fh))
+    with mock.patch.object(cubegraph.corpus, "_READ_SIZE", size):
+        got = _drain(cubegraph.corpus._utf8_lines(fh))
     assert got == _drain(utf8_lines(io.BytesIO(data)))
 
 
@@ -1069,7 +1069,7 @@ def test_verify_corpus_reads_across_block_boundaries(capsys, monkeypatch, tmp_pa
     corpus = tmp_path / "corpus.csv"
     corpus.write_bytes(data)
     with monkeypatch.context() as m:  # the run with each line decoded on its own
-        m.setattr(cli, "_utf8_lines", utf8_lines)
+        m.setattr(cubegraph.corpus, "_utf8_lines", utf8_lines)
         want = run(capsys, "verify-corpus", str(corpus))
     if source == "file":
         path, got = str(corpus), run(capsys, "verify-corpus", str(corpus))
@@ -1109,7 +1109,7 @@ def test_verify_corpus_reads_the_benchmark_corpus_in_plain_blocks(capsys, monkey
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import corpus
 
-    real, flags = cli._utf8_lines, []
+    real, flags = cubegraph.corpus._utf8_lines, []
 
     class Blocks:
         """fh, counting the blocks read from it."""
@@ -1128,7 +1128,7 @@ def test_verify_corpus_reads_the_benchmark_corpus_in_plain_blocks(capsys, monkey
                 flags.append(plain[0])
             yield line
 
-    monkeypatch.setattr(cli, "_utf8_lines", recording)
+    monkeypatch.setattr(cubegraph.corpus, "_utf8_lines", recording)
     cp = corpus.generate(7, 2000)
     path = tmp_path / "corpus.csv"
     path.write_text(cp.text, encoding="utf-8")
@@ -1179,7 +1179,7 @@ def test_search_bound_cap(capsys):
 
 
 def test_scan_bound_cap(capsys, monkeypatch):
-    monkeypatch.setattr(search, "_sweep", lambda k_lo, k_hi, B: (defaultdict(list), 0, 0))  # no hits, no work
+    monkeypatch.setattr(search, "_sweep", lambda k_lo, k_hi, B: ([], 0, 0))  # no hits, no work
     cap = search.MAX_SCAN_BOUND
     code, out, err = run(capsys, "scan", "--from", "4", "--to", "5", "--bound", str(cap))
     assert (code, err) == (0, "")
@@ -1240,16 +1240,18 @@ def test_each_subcommand_loads_only_its_own_layer(tmp_path):
     corpus = _good_corpus(tmp_path / "c.csv", 10)
     code = ("import sys; from cubegraph import cli; cli.build_parser(); "
             "sys.argv[1:] and cli.main(sys.argv[1:]); "
-            "print(' '.join(m for m in ('cubegraph.search', 'cubegraph.debruijn', 'csv') "
+            "print(' '.join(m for m in ('cubegraph.search', 'cubegraph.debruijn', "
+            "'cubegraph.corpus', 'cubegraph.residues', 'csv') "
             "if m in sys.modules), file=sys.stderr)")
+    searching = "cubegraph.search cubegraph.residues"
     for argv, loaded in [
         ((), ""),
-        (("search", "33", "--bound", "20"), "cubegraph.search"),
-        (("scan", "--from", "1", "--to", "9", "--bound", "9"), "cubegraph.search"),
+        (("search", "33", "--bound", "20"), searching),
+        (("scan", "--from", "1", "--to", "9", "--bound", "9"), searching),
         (("graph", "--order", "2"), "cubegraph.debruijn"),
         (("cycle", "--alphabet", "01"), "cubegraph.debruijn"),
         (("validate", "0110", "--alphabet", "01", "--order", "2"), "cubegraph.debruijn"),
-        (("verify-corpus", str(corpus)), "csv"),
+        (("verify-corpus", str(corpus)), "cubegraph.corpus cubegraph.residues csv"),
     ]:
         proc = subprocess.run([sys.executable, "-c", code, *argv], stdout=subprocess.DEVNULL,
                               stderr=subprocess.PIPE, text=True, env=_cli_env(False), timeout=60)

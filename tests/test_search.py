@@ -43,6 +43,14 @@ def found_triples(result):
     return [(rep.x, rep.y, rep.z) for rep in result.representations]
 
 
+def swept_hits(k_lo, k_hi, b):
+    """The sweep's hits over [k_lo, k_hi] at bound b as (k, x, y, z), in the
+    order of their packed ints."""
+    W = 2 * b + 1
+    hits = sorted(search_module._sweep(k_lo, k_hi, b)[0])
+    return [(k_lo + v // W ** 3, v // W // W % W - b, v // W % W - b, v % W - b) for v in hits]
+
+
 def test_search_matches_oracle_small_sweep():
     for k in range(-30, 61):
         for bound in (5, 20):
@@ -269,18 +277,20 @@ def test_scan_range_empty():
 
 
 def test_iter_scan_drops_each_k_s_hits_once_its_result_is_made(monkeypatch):
-    # the scan holds the sweep's buckets, not a row per k
+    # the scan holds the sweep's list, not a row per k: after each row, only
+    # the hits of the k still to come are left in it
     sweep, swept = search_module._sweep, []
     monkeypatch.setattr(search_module, "_sweep",
                         lambda lo, hi, B: swept.append(sweep(lo, hi, B)) or swept[-1])
     bounds = SearchBounds(3, (-5, 30))
-    scan = search_module.iter_scan(bounds)
-    first = next(scan)
-    found = swept[0][0]
-    assert first.k == -3 and -3 not in found and 2 in found
-    rest = list(scan)
-    assert found == {}
-    assert [first, *rest] == scan_range(bounds)
+    rows, left = [], []
+    for rep in search_module.iter_scan(bounds):
+        rows.append(rep)
+        left.append(len(swept[0][0]))
+    assert rows[0].k == -3 and left[0] < len(rows)
+    assert left == [sum(r.k > rep.k for r in rows) for rep in rows]
+    assert swept[0][0] == []
+    assert rows == scan_range(bounds)
 
 
 def test_scan_parallel_equals_sequential():
@@ -337,8 +347,7 @@ def test_scan_range_matches_oracle_property(bound, start, width):
 @example(-3 * 60 ** 3, 60)
 @example(3 * 60 ** 3 - 1, 60)  # one below it: at d = 120 the window is z = 60 alone
 def test_divisor_search_matches_the_sweep(k, bound):
-    found, _, _ = search_module._sweep(k, k, bound)
-    assert found_triples(search_k(k, bound)) == sorted(search_module._triples(found[k], bound))
+    assert [(k, *t) for t in found_triples(search_k(k, bound))] == swept_hits(k, k, bound)
 
 
 @st.composite
@@ -364,11 +373,8 @@ def sweep_windows(draw):
 def test_sweep_matches_the_divisor_search_on_windows(window):
     # the jumps grow with B, so this reaches bounds the oracle-table property cannot
     b, lo, hi = window
-    found, _, _ = search_module._sweep(lo, hi, b)
-    assert set(found) <= set(range(lo, hi + 1))
-    for k in range(lo, hi + 1):
-        hits = search_module._triples(found.get(k, ()), b)
-        assert sorted(hits) == found_triples(search_k(k, b)), (k, b)
+    assert swept_hits(lo, hi, b) == [(k, *t) for k in range(lo, hi + 1)
+                                     for t in found_triples(search_k(k, b))]
 
 
 def _no_work(*args):

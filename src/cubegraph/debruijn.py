@@ -88,8 +88,8 @@ class DeBruijnGraph(namedtuple("DeBruijnGraph", "alphabet order edges")):
 # so a one-symbol alphabet's single edge is no longer than a binary edge.
 # Binary is the worst case for a given edge count: the longest grams and
 # the most nodes.  At the cap, B(01, 19), `graph` took 0.5-0.7 s at 14.6 MB
-# peak RSS (55 MB of DOT, written as it is made), `cycle` 0.15-0.18 s at
-# 22.7 MB, and `validate -` 0.17-0.20 s at 16.1 MB for an exact claim,
+# peak RSS (55 MB of DOT, written as it is made), `cycle` 0.07 s at
+# 17.4 MB, and `validate -` 0.17-0.20 s at 16.1 MB for an exact claim,
 # 0.35-0.38 s at 15.6 MB for its first 1,000 symbols (523,288 missing edges,
 # named as they are written) and 0.6-0.8 s at 51.4 MB for 2^19 random symbols,
 # whose ~138,000 repeated windows are sorted (CLI runs, one core of a shared
@@ -190,28 +190,28 @@ def debruijn_sequence(alphabet: Alphabet, order: int, edges: frozenset[str] | No
     if edges is not None:
         return circuit_to_sequence(eulerian_circuit(DeBruijnGraph(alphabet, order, edges)))
     check_order(alphabet, order)
-    # the list of symbol indices is freed once joined: the str is rotated
-    text = "".join(map(alphabet.symbols.__getitem__, _lyndon_concat(len(alphabet), order)))
+    text = _lyndon_concat(alphabet.symbols, order)
     r = (order - 1) % len(text)
     return text[r:] + text[:r]
 
 
-def _lyndon_concat(k: int, order: int) -> list[int]:
-    """The Lyndon words over symbol indices 0..k-1 whose length divides
-    order, concatenated in lexicographic order."""
-    last = k - 1
-    seq: list[int] = []
-    word = [-1]  # symbol indices; each pass turns it into the next Lyndon word
-    while word:
-        word[-1] += 1
+def _lyndon_concat(symbols: tuple[str, ...], order: int) -> str:
+    """The Lyndon words over the symbols whose length divides order,
+    concatenated in lexicographic (symbol) order.  Each word is a str: the
+    next is the current one extended periodically to length order, with its
+    trailing last symbols dropped and its final symbol stepped to the next."""
+    last = symbols[-1]
+    successor = dict(zip(symbols, symbols[1:]))
+    words = []
+    word = symbols[0]
+    while True:
         m = len(word)
         if order % m == 0:
-            seq.extend(word)
-        while len(word) < order:  # extend periodically to the next prenecklace
-            word.append(word[-m])
-        while word and word[-1] == last:
-            word.pop()
-    return seq
+            words.append(word)
+        word = (word * (order // m + 1))[:order].rstrip(last)
+        if not word:
+            return "".join(words)
+        word = word[:-1] + successor[word[-1]]
 
 
 def coverage(sequence: str, alphabet: Alphabet, order: int, target: frozenset[str] | None = None):

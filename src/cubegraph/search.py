@@ -19,8 +19,11 @@ process, one core of a 2-vCPU x86-64 machine, CPython 3.11).  Both find each
 solution multiset exactly once.  Two mod-9 sieves prune the work: targets in
 class 4 or 5 are skipped outright, and a z whose pair target k - z^3 is
 unreachable by two cubic residues is dropped (by the sweep only for a
-width-1 window).  Verification is plain Python integers throughout, so
-literature-scale solutions with 16+ digit terms check exactly.
+width-1 window).  The divisor walk also drops most d divisible by 3: if
+3^a is the largest power of 3 dividing d, then 3^(a+1) divides k - z^3, so
+for k not 0 or +-1 mod 9 it walks no such d.  Verification is plain Python
+integers throughout, so literature-scale solutions with 16+ digit terms
+check exactly.
 """
 
 from bisect import bisect_left, bisect_right
@@ -33,10 +36,10 @@ from .residues import TWO_CUBE_CLASSES, is_feasible, label_solution
 # The cap on `search` (one k, divisor method).  Its worst cases are k = 0 and
 # the cubes: z^3 = k mod d has many roots when k shares small prime factors
 # with d, and they have about B + 1 hits, each rechecked and printed.  At the
-# cap, `search 0 --bound 100000` took 4.0-4.8 s at 45.5 MB peak RSS (3.7M
-# candidates), `search 27000 --bound 100000` (30^3) 3.8-6.4 s at 44.8 MB
-# (4.4M), and `search 33 --bound 100000` 0.7 s at 21.7 MB (0.4M, no hits;
-# CLI runs on one core of a shared 2-vCPU x86-64 machine, CPython 3.11).
+# cap, `search 0 --bound 100000` took 2.9-3.6 s at 45.3 MB peak RSS (3.35M
+# candidates), `search 27000 --bound 100000` (30^3) 3.4-3.8 s at 44.3 MB
+# (3.9M), and `search 33 --bound 100000` 0.35-0.37 s at 21.7 MB (0.30M, no
+# hits; CLI runs on one core of a shared 2-vCPU x86-64 machine, CPython 3.11).
 MAX_SEARCH_BOUND = 100_000
 
 # The cap on `scan` (a k window, one sweep).  The sweep probes at most
@@ -96,9 +99,10 @@ class Representation(namedtuple("Representation", "x y z k path")):
 
 class SearchStats(namedtuple("SearchStats", "pairs_scanned z_pruned", defaults=(0, 0))):
     """Work counts of one `search_k`.  A candidate is a live d and a z in
-    d's window with d | k - z^3: `pairs_scanned` is the candidates that
-    reached the perfect-square test, and `z_pruned` those the mod-9 sieve
-    dropped before it.  Both are 0 for a k skipped as infeasible.  A scan
+    d's window with d | k - z^3, and 3d | k - z^3 when 3 | d (see
+    search_k): `pairs_scanned` is the candidates that reached the
+    perfect-square test, and `z_pruned` those the mod-9 sieve dropped
+    before it.  Both are 0 for a k skipped as infeasible.  A scan
     has no SearchStats, since its sweep shares its work across k: `_sweep`
     returns its own two counts, x values probed and z values pruned."""
 
@@ -225,7 +229,13 @@ def search_k(k: int, B: int) -> SearchResult:
     prime order, and only those for which k is a cube mod d are visited: a
     child d p^e takes its roots from d's by one CRT step, and a prime with no
     root mod p never enters the walk (nor a power of p above the first with no
-    root).  4|k - z^3| = d(d^2 + 3(x - y)^2) and |x - y| <= 2B - d, so for
+    root).  A power of 3 keeps fewer roots.  If 3^a || d, that is 3^a is the
+    largest power of 3 dividing d, with a >= 1, then x^2 - xy + y^2 =
+    (x + y)^2 - 3xy is divisible by 3, so 3^(a+1) divides k - z^3; and
+    z^3 mod 3^(a+1) depends only on z mod 3^a.  So a root r of 3^a is kept
+    only when r^3 = k (mod 3^(a+1)).  Cubes are 0 or +-1 mod 9, so for any
+    other k mod 9 (k = 2, 3, 33, 42) no d divisible by 3 is left.
+    4|k - z^3| = d(d^2 + 3(x - y)^2) and |x - y| <= 2B - d, so for
     each d, z steps by d from each root through the exact window
     4|k - z^3| <= d(3(2B - d)^2 + d^2), less the z outside [-B, B] or below
     -d/2, which cannot be the largest term.  Then x + y = d sign(k - z^3),
@@ -244,8 +254,19 @@ def search_k(k: int, B: int) -> SearchResult:
     if c ** 3 == k:  # d = 0: x = -y, and z = c is the largest term for 0 <= y <= c
         hits.extend((-t, t, c) for t in range(c + 1))
     top = 2 * B
-    live = [powers for p in compress(range(top + 1), _prime_sieve(top))
-            if (powers := _cube_roots_mod_prime_powers(k, p, top))]
+    live = []
+    for p in compress(range(top + 1), _prime_sieve(top)):
+        powers = _cube_roots_mod_prime_powers(k, p, top)
+        if p == 3:  # 3^a || d needs r^3 = k (mod 3^(a+1)); a power with none has none above
+            kept = []
+            for m, roots in powers:
+                roots = [r for r in roots if (r * r * r - k) % (3 * m) == 0]
+                if not roots:
+                    break
+                kept.append((m, roots))
+            powers = kept
+        if powers:
+            live.append(powers)
     pairs = pruned = 0
     stack = [(1, [0], 0)]  # d, the cube roots of k mod d, the first index in live d may gain
     while stack:

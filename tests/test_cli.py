@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -368,7 +369,7 @@ def test_debruijn_commands_accept_the_cap(capsys, monkeypatch):
     # stub the k^n-sized work: one edge for graph, one Lyndon word for cycle,
     # and for validate one gram to name, which the claim covers
     monkeypatch.setattr(debruijn, "product", lambda symbols, repeat: [("0",) * repeat])
-    monkeypatch.setattr(debruijn, "_lyndon_concat", lambda k, order: [0, 1])
+    monkeypatch.setattr(debruijn, "_lyndon_concat", lambda symbols, order: "01")
     order = str(CAP_ORDER)
     code, out, err = run(capsys, "graph", "--alphabet", "01", "--order", order)
     assert (code, err) == (0, "")
@@ -822,8 +823,17 @@ class CountingRaw(io.RawIOBase):
         return len(b)
 
 
+@pytest.fixture
+def unfrozen():
+    """For a test that calls cli.entrypoint in process: entrypoint freezes
+    the heap on its way out, and pytest's own objects must not stay frozen."""
+    yield
+    gc.unfreeze()
+    assert gc.get_freeze_count() == 0
+
+
 @pytest.mark.parametrize("case", ["graph", "verify-corpus"])
-def test_entrypoint_buffers_stdout_even_when_unbuffered(monkeypatch, tmp_path, case):
+def test_entrypoint_buffers_stdout_even_when_unbuffered(monkeypatch, tmp_path, case, unfrozen):
     if case == "graph":
         argv, want_code = ["graph", "--alphabet", "01", "--order", "12"], 0
         want = to_dot(build_graph(debruijn.Alphabet.from_string("01"), 12),
@@ -859,7 +869,8 @@ class PartialRaw(CountingRaw):
 
 
 @pytest.mark.parametrize("piece", [1, 100, 1 << 30])
-def test_verify_corpus_keeps_the_lines_before_a_csv_error(capsys, monkeypatch, tmp_path, piece):
+def test_verify_corpus_keeps_the_lines_before_a_csv_error(capsys, monkeypatch, tmp_path, piece,
+                                                          unfrozen):
     # through entrypoint's own stdout, whatever share of a write the file takes
     corpus = tmp_path / "corpus.csv"
     corpus.write_text("k,x,y,z\n29,1,1,3\n35,1,2,3\n1," + "1" * 200_000 + ",0,0\n1,2,3,4\n")
@@ -1365,6 +1376,25 @@ def test_a_mid_run_error_follows_its_rows_in_a_merged_stream(tmp_path):
                 "line 3: k=35 (1,2,3) INVALID sum=36\n"
                 f"error: {corpus}: line 4: field larger than field limit "
                 f"({csv.field_size_limit()})\n"), unbuffered
+
+
+def test_exit_still_runs_atexit_handlers_and_keeps_each_code(capsys):
+    # entrypoint freezes the heap before sys.exit, so the interpreter does not
+    # free at exit what it would only throw away; an atexit handler still
+    # runs after that, once stdout is complete, and each code stands
+    code = ("import atexit, gc, sys; from cubegraph import cli; "
+            "atexit.register(lambda: print(f'atexit: frozen {gc.get_freeze_count() > 0}', "
+            "file=sys.stderr)); cli.entrypoint()")
+    for argv, want_code, want_err in [
+        (("classes",), cli.EXIT_OK, ""),
+        (("validate", "0110", "--alphabet", "01", "--order", "3"), cli.EXIT_INVALID, ""),
+        (("search", "3", "--bound", "0"), cli.EXIT_USAGE, "error: bound must be >= 1, got 0\n"),
+    ]:
+        want_out = run(capsys, *argv)[1]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env=_cli_env(False), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (want_code, want_out, want_err + "atexit: frozen True\n"), argv
 
 
 def test_a_run_started_with_stdout_closed_is_one_error_line():

@@ -615,12 +615,13 @@ def test_dot_lines_equal_the_reference(case):
 
 
 def test_debruijn_sequence_peak_memory_per_symbol():
-    # the joined str is rotated, not the list of symbol indices: a rotated
-    # list and its two slices took about 25 bytes per symbol
+    # the Lyndon words are strs, joined once and rotated: a list of symbol
+    # indices took about 17 bytes per symbol, and a rotated list and its two
+    # slices about 25; the strs take under 6
     tracemalloc.start()
     try:
         seq = debruijn_sequence(BINARY, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 21 * len(seq)
+    assert peak < 8 * len(seq)

@@ -240,11 +240,12 @@ def test_sweep_cost_model(b):
 @pytest.mark.parametrize("k", [0, 2, 29, -33])
 def test_divisor_cost_model(k, b):
     # a candidate is a d in 1..2b and a z in [-b, b], z >= -d/2, with d | k - z^3
-    # and 4|k - z^3| <= d(3(2b - d)^2 + d^2), since |x - y| <= 2b - d; the
+    # (3d | k - z^3 when 3 | d, since then 3 | x^2 - xy + y^2) and
+    # 4|k - z^3| <= d(3(2b - d)^2 + d^2), since |x - y| <= 2b - d; the
     # mod-9 sieve drops those whose k - z^3 no two cubes reach.  A k beyond
     # 3b^3, which no box sum reaches, has none
     candidates = [z for d in range(1, 2 * b + 1) for z in range(max(-b, -(d // 2)), b + 1)
-                  if (k - z ** 3) % d == 0
+                  if (k - z ** 3) % (3 * d if d % 3 == 0 else d) == 0
                   and 4 * abs(k - z ** 3) <= d * (3 * (2 * b - d) ** 2 + d * d)
                   ] if abs(k) <= 3 * b ** 3 else []
     stats = search_k(k, b).stats

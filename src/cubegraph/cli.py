@@ -5,10 +5,12 @@ failure, 2 usage or parse error, and 141 (128 + SIGPIPE), with nothing on
 stderr, when stdout is closed before the output ends, as `| head` does.
 Output goes to sys.stdout as it is produced, so memory does not grow with
 its size; `scan` writes each row as it is verified, and steps by 9 only
-to name the infeasible k.  Identical invocations produce bytewise-identical
-results.  sys.stdout buffers it: entrypoint turns write-through off once,
-so a run under PYTHONUNBUFFERED too passes its text on in pieces of 8 KiB,
-not a system call per line.  stdout carries results only.  Every error that
+to name the infeasible k; up to a corpus's first quote, `verify-corpus`
+writes the lines of each block it reads at once.  Identical invocations
+produce bytewise-identical results.  sys.stdout buffers it: entrypoint
+turns write-through off once, so a run under PYTHONUNBUFFERED too passes
+its text on in pieces of 8 KiB, not a system call per line.  stdout
+carries results only.  Every error that
 stops a run once its arguments parse, such as a bound over the cap, an
 unreadable corpus or a record that is not CSV or not UTF-8, reaches main:
 it flushes the lines already produced, then writes one `error: <reason>`

@@ -87,13 +87,16 @@ def signed_spellings(triple: tuple[int, int, int]) -> list[tuple[int, int, int]]
     return sorted({tuple(sorted(c)) for c in product(*choices)})
 
 
-# Every label pair a solution can get, built once and keyed by the terms'
-# signed entries in term order.  A term's signed entry is _ENTRY[n < 0][n % 9]:
-# its cube residue, with 8 written -1 when the term is negative.  The path
-# label writes each -1 back as 8.
-_ENTRY = (_CUBE_RESIDUE, tuple(-1 if r == 8 else r for r in _CUBE_RESIDUE))
-_LABELS = {e: (spell(sorted(8 if t == -1 else t for t in e)), spell(sorted(e)))
-           for e in product((-1, 0, 1, 8), repeat=3)}
+SIGNED_ENTRY = (_CUBE_RESIDUE, tuple(-1 if r == 8 else r for r in _CUBE_RESIDUE))
+"""A term n's signed entry is SIGNED_ENTRY[n < 0][n % 9]: its cube residue,
+with 8 written -1 when n is negative, so the entries of x, y and z sum to
+x^3 + y^3 + z^3 mod 9."""
+
+LABELS = {e: (spell(sorted(8 if t == -1 else t for t in e)), spell(sorted(e)))
+          for e in product((-1, 0, 1, 8), repeat=3)}
+"""Every (path, signed) label pair a solution can get, built once and keyed
+by its terms' signed entries in term order.  The path label writes each -1
+back as 8."""
 
 
 def labels(x: int, y: int, z: int, k: int) -> tuple[str, str]:
@@ -107,7 +110,8 @@ def labels(x: int, y: int, z: int, k: int) -> tuple[str, str]:
     """
     if x * x * x + y * y * y + z * z * z != k:
         raise CubeSumMismatch(x, y, z, k)
-    return _LABELS[_ENTRY[x < 0][x % 9], _ENTRY[y < 0][y % 9], _ENTRY[z < 0][z % 9]]
+    return LABELS[SIGNED_ENTRY[x < 0][x % 9], SIGNED_ENTRY[y < 0][y % 9],
+                  SIGNED_ENTRY[z < 0][z % 9]]
 
 
 def label_solution(x: int, y: int, z: int, k: int) -> str:

@@ -95,15 +95,14 @@ def _nul_free(line):
     return line
 
 
-def utf8_lines(fh, plain=None):
+def utf8_lines(fh):
     """The lines of the binary file fh as csv.reader counts them, ended by
     \n, \r\n or \r, each decoded from UTF-8 on its own, with a byte-order
     mark dropped from line 1 after decoding; a line holding a NUL raises
     corpus._NulLine once decoded.  Given a text file, it reads the binary file
-    under it, fh.buffer, so that it can stand in for corpus._utf8_lines, which
-    reads a text file a block of lines at a time; the tests compare the two.
-    It takes corpus._utf8_lines' plain flag and never sets it, so a run that
-    reads through it prints every term from its int."""
+    under it, fh.buffer, so that it can stand in for the lines of
+    corpus._blocks, which reads a text file a block of lines at a time; the
+    tests compare the two."""
     lines = (_nul_free(line.decode("utf-8"))
              for chunk in getattr(fh, "buffer", fh)  # ends at \n, and may hold lines ended by \r
              for line in chunk.splitlines(keepends=True))
@@ -111,6 +110,13 @@ def utf8_lines(fh, plain=None):
     if first is not None:
         yield first.removeprefix("\ufeff")
         yield from lines
+
+
+def per_line_blocks(fh):
+    """A stand-in for corpus._blocks(fh): one block, all of utf8_lines(fh),
+    marked as holding a quote, so that corpus.verify reads every record with
+    csv.reader and prints every term from its int."""
+    return iter([(utf8_lines(fh), b'"')])
 
 
 def search_csv(reps) -> str:

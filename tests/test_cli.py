@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import cubegraph.corpus
 from cubegraph import cli, debruijn, residues, search
 
-from oracles import build_graph, search_csv, spelled_labels, to_dot, utf8_lines
+from oracles import build_graph, per_line_blocks, search_csv, spelled_labels, to_dot, utf8_lines
 
 TERNARY_CYCLE_23 = "00088808881118100010110"
 
@@ -743,6 +743,15 @@ _SPELLINGS = ("k,x,y,z\n" + "29,1,1,3\n".join([
     "29,\u0663,1,1\n", "29,1,1,3 \n", ""]))
 # a quote opens a field that runs on through blocks that hold only line ends
 _UNTERMINATED = "k,x,y,z\n" + "29,1,1,3\n" * 400 + '29,1,1,"3' + "\n" * 40_000
+# rows that are split at their commas, then the first quote, from which csv.reader
+# reads on: with blocks of one line, plain and other blocks come before it
+_QUOTE_AFTER_BLOCKS = ('k,x,y,z\n29,1,1,3\n29, 1,1,3\n-10,-1,-1,-2\n029,1,1,3\n1,2\n'
+                       '29,1,1,3\n"29",1,1,3\n35,1,"2\n",3\n\n1,2\n29,1,1,3\n')
+# the first quote in the middle of the second block
+_QUOTE_MID_BLOCK = ("k,x,y,z\n" + "29,1,1,3\n" * 1000 + '35,1,2,3\n29,"1",1,3\n'
+                    + '29,1,"1\n",3\n' + "29,1,1,3\n" * 1000)
+# blank lines and lines ended by \r alone before the switch
+_BLANK_BEFORE_QUOTE = 'k,x,y,z\r\n29,1,1,3\r\r\n\n35,1,2,3\r29, 1,1,3\r\n\r"29",1,1,3\n\r29,1,1,3\r'
 
 
 @settings(max_examples=300, deadline=None)
@@ -752,6 +761,9 @@ _UNTERMINATED = "k,x,y,z\n" + "29,1,1,3\n" * 400 + '29,1,1,"3' + "\n" * 40_000
 @example(_SPELLINGS)
 @example(_SPELLINGS.replace("\n", "\r\n"))
 @example(_UNTERMINATED)
+@example(_QUOTE_AFTER_BLOCKS)
+@example(_QUOTE_MID_BLOCK)
+@example(_BLANK_BEFORE_QUOTE)
 def test_verify_corpus_matches_the_dict_reader_loop(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "differential.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -763,6 +775,40 @@ def test_verify_corpus_matches_the_dict_reader_loop(tmp_path_factory, text):
                 mock.patch.object(cubegraph.corpus, "_READ_SIZE", read_size):
             code = cli.main(["verify-corpus", str(path)])
         assert (code, out.getvalue(), err.getvalue()) == want
+
+
+# quote-free CSV text: what csv.reader reads as data, empty fields, blank lines
+# and its three line ends
+_QUOTE_FREE = st.lists(st.tuples(st.lists(st.text("09- \t\x1c\x1d\x1e\x1f", max_size=6),
+                                          max_size=4).map(",".join),
+                                 st.sampled_from(["\n", "\r", "\r\n"])),
+                       max_size=8).map(lambda lines: "".join(map("".join, lines)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_QUOTE_FREE, st.integers(0, 40))
+@example("1,2\n\n\r3,4\r\n,\n", 40)  # blank lines between records
+@example("1,2\n345,6\n", 4)  # a field over the limit: 2 < 4 < 10 bytes
+@example("1,2\n345,6\n", 10)
+def test_split_reads_quote_free_lines_as_csv_reader_does(text, limit):
+    # the argument for skipping csv.reader: on the lines of a block that holds
+    # no quote and is no longer than the field limit, each line is one record
+    # split at its commas; a longer block, which could hold a field over the
+    # limit, is left to csv.reader
+    lines = io.StringIO(text, newline="").readlines()  # ended as a corpus's lines are
+    data = text.encode("utf-8")
+    old = csv.field_size_limit(limit)
+    try:
+        want = [row or [""] for row in csv.reader(lines)]
+    except csv.Error as err:
+        want = err
+    finally:
+        csv.field_size_limit(old)
+    got = cubegraph.corpus._split(lines, data, limit)
+    if len(data) > limit:
+        assert got is None
+    else:
+        assert list(got) == want
 
 
 # what int() and str.strip() treat as space, or as a digit, and what they do not
@@ -888,15 +934,15 @@ def test_verify_corpus_keeps_the_lines_before_a_csv_error(capsys, monkeypatch, t
 
 
 def test_an_error_mid_run_comes_after_the_lines_already_produced(capsys, monkeypatch, tmp_path):
-    real, calls = residues.labels, []
+    real = cubegraph.corpus._split
 
-    def fail_on_second(x, y, z, k):
-        calls.append(x)
-        if len(calls) == 2:
-            raise ValueError("second row")
-        return real(x, y, z, k)
+    def fail_on_second(lines, data, limit):
+        for n, record in enumerate(real(lines, data, limit)):
+            if n == 2:  # after the header and the first row
+                raise ValueError("second row")
+            yield record
 
-    monkeypatch.setattr(residues, "labels", fail_on_second)
+    monkeypatch.setattr(cubegraph.corpus, "_split", fail_on_second)
     corpus = tmp_path / "corpus.csv"
     corpus.write_text("k,x,y,z\n29,1,1,3\n29,1,1,3\n")
     assert run(capsys, "verify-corpus", str(corpus)) == \
@@ -1028,8 +1074,13 @@ def test_block_reader_yields_the_lines_of_the_per_line_reader(data, size, chunk)
     fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape",
                           newline="")
     fh._CHUNK_SIZE = chunk
+
+    def lines():
+        for block, _ in cubegraph.corpus._blocks(fh):
+            yield from block
+
     with mock.patch.object(cubegraph.corpus, "_READ_SIZE", size):
-        got = _drain(cubegraph.corpus._utf8_lines(fh))
+        got = _drain(lines())
     assert got == _drain(utf8_lines(io.BytesIO(data)))
 
 
@@ -1071,16 +1122,23 @@ _NOTES = b"k,x,y,z\n" + "29,1,1,3,€€€€éé\n".encode("utf-8") * 1000
      _BAD_LINE_8K + "bytes in position 4-5: invalid continuation byte"),
     (_at(8191 - 8, b"29,1,1,3\r\n29,1,1,3\n", _ROWS_8K), 903, None),  # the \r is byte 8191
     (_NOTES, 1000, None),
+    # split blocks, plain and padded, then a quote, from which csv.reader reads on
+    (b"k,x,y,z\n" + b"29,1,1,3\n" * 1000 + b"29, 1,1,3\n" * 1000 + b"29,1,1,3\n" * 1000
+     + b'"29",1,1,3\n29,1,"1\n",3\n' + b"29,1,1,3\n" * 1000, 4002, None),
+    (b"k,x,y,z\n" + b"29,1,1,3\n" * 1400 + b'29,"1",1,3\n' + b"29,1,1,3\n" * 400, 1801, None),
+    (b"k,x,y,z\n" + (b"29,1,1,3\r" * 500 + b"\n\n" + b"29,1,1,3\r\n" * 500 + b"\r\r") * 2
+     + b'29,1,1,"3"\n' + b"29,1,1,3\r" * 500, 2501, None),
 ], ids=["ff-at-16383", "ff-at-16384", "ff-at-16385", "cut-sequence", "crlf-across", "nul-at-16383",
         "long-field",
         "cr-only", "empty", "bom-only", "ff-at-8191", "ff-at-8192", "ff-at-8193",
-        "cut-sequence-8k", "crlf-across-8k", "non-ascii-across"])
+        "cut-sequence-8k", "crlf-across-8k", "non-ascii-across", "quote-after-blocks",
+        "quote-mid-block", "blank-and-cr-lines-before-the-quote"])
 def test_verify_corpus_reads_across_block_boundaries(capsys, monkeypatch, tmp_path, source,
                                                       data, rows, error):
     corpus = tmp_path / "corpus.csv"
     corpus.write_bytes(data)
     with monkeypatch.context() as m:  # the run with each line decoded on its own
-        m.setattr(cubegraph.corpus, "_utf8_lines", utf8_lines)
+        m.setattr(cubegraph.corpus, "_blocks", per_line_blocks)
         want = run(capsys, "verify-corpus", str(corpus))
     if source == "file":
         path, got = str(corpus), run(capsys, "verify-corpus", str(corpus))
@@ -1091,14 +1149,15 @@ def test_verify_corpus_reads_across_block_boundaries(capsys, monkeypatch, tmp_pa
     assert got == (want[0], want[1], want[2].replace(str(corpus), path))
     code, out, err = got
     assert out.count(" OK ") == rows
-    if error is None:
+    if error is None:  # and each row's line number as csv.DictReader counts it
         assert (code, err) == (0, "")
+        assert got == _verify_corpus_with_dict_reader(str(corpus))
     else:
         assert (code, err) == (2, f"error: {path}: {error}\n")
 
 
 def test_verify_corpus_checks_the_benchmark_corpus(capsys, monkeypatch, tmp_path):
-    # about 124 KB: 8 blocks of whole lines
+    # about 124 KB: 16 blocks of whole lines
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import corpus
 
@@ -1120,32 +1179,24 @@ def test_verify_corpus_reads_the_benchmark_corpus_in_plain_blocks(capsys, monkey
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import corpus
 
-    real, flags = cubegraph.corpus._utf8_lines, []
+    real_block, real_plain, blocks, flags = cubegraph.corpus._block, cubegraph.corpus._plain, [], []
 
-    class Blocks:
-        """fh, counting the blocks read from it."""
+    def block(lines):
+        blocks.append(len(lines))
+        return real_block(lines)
 
-        def __init__(self, fh):
-            self.fh, self.read = fh, 0
+    def plain(data):
+        flags.append(real_plain(data))
+        return flags[-1]
 
-        def readlines(self, hint):
-            self.read += 1
-            return self.fh.readlines(hint)
-
-    def recording(fh, plain=None):
-        blocks = Blocks(fh)
-        for line in real(blocks, plain):
-            if blocks.read > len(flags):  # the first line of a block
-                flags.append(plain[0])
-            yield line
-
-    monkeypatch.setattr(cubegraph.corpus, "_utf8_lines", recording)
+    monkeypatch.setattr(cubegraph.corpus, "_block", block)
+    monkeypatch.setattr(cubegraph.corpus, "_plain", plain)
     cp = corpus.generate(7, 2000)
     path = tmp_path / "corpus.csv"
     path.write_text(cp.text, encoding="utf-8")
     code, out, err = run(capsys, "verify-corpus", str(path))
     assert (code, err, out.splitlines()[-1]) == (cp.expected_code, "", cp.expected_summary)
-    assert flags == [False] + [True] * 7
+    assert (len(blocks), flags) == (16, [False] + [True] * 15)
 
 
 @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])

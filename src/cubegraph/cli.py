@@ -5,8 +5,8 @@ failure, 2 usage or parse error, and 141 (128 + SIGPIPE), with nothing on
 stderr, when stdout is closed before the output ends, as `| head` does.
 Output goes to sys.stdout as it is produced, so memory does not grow with
 its size; `scan` writes each row as it is verified, and steps by 9 only
-to name the infeasible k; up to a corpus's first quote, `verify-corpus`
-writes the lines of each block it reads at once.  Identical invocations
+to name the infeasible k; `verify-corpus` writes each row's line as it is
+checked.  Identical invocations
 produce bytewise-identical results.  sys.stdout buffers it: entrypoint
 turns write-through off once, so a run under PYTHONUNBUFFERED too passes
 its text on in pieces of 8 KiB, not a system call per line.  stdout

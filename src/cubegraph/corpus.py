@@ -15,12 +15,11 @@ Only a quote lets a record span lines.  So each line is one record, split at
 its commas, up to the first block that holds a quote, or a byte that is not
 UTF-8, or more bytes than csv.field_size_limit() (only such a block can hold
 a longer field); from that block on, one csv.reader reads the rest of the
-file.  A split block is plain when it
-holds only digits, commas, "-" and line ends, and no field starts with 0 or
--0.  Then str() spells every field that int() accepts as it is written, so a
-valid row of a plain block prints its terms as they were read; any other row
-prints the ints it parsed.  A split block's lines are written at once, after
-its last row or before the error that stops the run.  A valid row's line
+file.  A split block is plain when it holds only digits, commas, "-" and
+line ends, and no field starts with 0 or -0.  Then str() spells every field
+that int() accepts as it is written, so a valid row of a plain block prints
+its terms as they were read; any other row prints the ints it parsed.  Each
+row's line is written as soon as the row is checked, and a valid row's line
 ends in the _TAILS string of its terms' signed entries.
 """
 
@@ -44,7 +43,7 @@ def _row_dict(header: list[str], row: list[str]) -> dict:
     return d
 
 
-_READ_SIZE = 1 << 13  # larger blocks were no faster, and a block's output waits in memory
+_READ_SIZE = 1 << 13  # larger blocks were no faster
 
 
 class _NulLine(ValueError):
@@ -63,11 +62,12 @@ def _checked(line):
 
 def _block(lines):
     """The lines of a block, each checked on its own if the block holds a
-    NUL or a byte that is not UTF-8, and the block's UTF-8 bytes."""
+    NUL or a byte that is not UTF-8, and the block's UTF-8 bytes, or None if
+    it is not UTF-8: only csv.reader reads such a block."""
     try:  # UTF-8 spells U+0000 alone with a 0 byte
         data = "".join(lines).encode("utf-8")
     except UnicodeEncodeError:
-        return map(_checked, lines), b'"'  # its quotes cannot be seen: as if it had one
+        return map(_checked, lines), None
     return (map(_checked, lines) if b"\0" in data else lines), data
 
 
@@ -95,10 +95,10 @@ def _plain(data):
 def _split(lines, data, limit):
     """The records of a block's lines as csv.reader reads them: each line is
     one, split at its commas, but a blank line gives [""], not [].  None when
-    only csv.reader can read them: data, the block's UTF-8 bytes, holds a
-    quote, which lets a record span lines, or is longer than limit, so that
-    a field may be over it."""
-    if b'"' in data or len(data) > limit:
+    only csv.reader can read them: data, the block's UTF-8 bytes, is None
+    (the block is not UTF-8), holds a quote, which lets a record span lines,
+    or is longer than limit, so that a field may be over it."""
+    if data is None or b'"' in data or len(data) > limit:
         return None
     return map(str.split, map(str.rstrip, lines, repeat("\r\n")), repeat(","))
 
@@ -116,18 +116,17 @@ def verify(path, out) -> tuple[int, int, int]:
     raises ValueError or OSError, naming the file and line, after the lines
     of every record before it."""
     parse_errors = invalid = valid = 0
-    limit, entry, tails = csv.field_size_limit(), residues.SIGNED_ENTRY, _TAILS
+    limit, entry, tails, write = csv.field_size_limit(), residues.SIGNED_ENTRY, _TAILS, out.write
     i = n = 0  # the line of the last record; the lines before csv.reader's first
     reader = header = None
-    pending, blank = [], [""]  # a split block's output; a blank line's record
-    emit = pending.append
+    blank = [""]  # a blank line's record
     try:  # an error that stops the run names file and line
         with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
             blocks = _blocks(fh)
             for lines, data in blocks:
                 records = _split(lines, data, limit)
                 if records is None:  # csv.reader reads the rest of the file
-                    n, blank, emit, plain = i, [], out.write, False
+                    n, blank, plain = i, [], False
                     reader = csv.reader(chain(lines, chain.from_iterable(
                         map(itemgetter(0), blocks))))
                     records = zip(reader, map(n.__add__, map(attrgetter("line_num"),
@@ -141,35 +140,29 @@ def verify(path, out) -> tuple[int, int, int]:
                     # a repeated name: the last wins
                     column = {name: j for j, name in enumerate(header)}
                     ik, ix, iy, iz = column["k"], column["x"], column["y"], column["z"]
-                try:
-                    for row, i in records:  # i: the line a record ends on, if it spans lines
-                        try:  # int skips whitespace, but not the separators \x1c-\x1f
-                            k, x, y, z = int(row[ik]), int(row[ix]), int(row[iy]), int(row[iz])
+                for row, i in records:  # i: the line a record ends on, if it spans lines
+                    try:  # int skips whitespace, but not the separators \x1c-\x1f
+                        k, x, y, z = int(row[ik]), int(row[ix]), int(row[iy]), int(row[iz])
+                    except (IndexError, ValueError):
+                        try:  # a short row raises IndexError
+                            k, x, y, z = (int(row[ik].strip()), int(row[ix].strip()),
+                                          int(row[iy].strip()), int(row[iz].strip()))
                         except (IndexError, ValueError):
-                            try:  # a short row raises IndexError
-                                k, x, y, z = (int(row[ik].strip()), int(row[ix].strip()),
-                                              int(row[iy].strip()), int(row[iz].strip()))
-                            except (IndexError, ValueError):
-                                if row != blank:
-                                    parse_errors += 1
-                                    emit(f"line {i}: parse error in {_row_dict(header, row)!r}\n")
-                                continue
-                        if (total := x * x * x + y * y * y + z * z * z) != k:
-                            invalid += 1
-                            emit(f"line {i}: k={k} ({x},{y},{z}) "
-                                 f"INVALID sum={residues.exact_str(total)}\n")
+                            if row != blank:
+                                parse_errors += 1
+                                write(f"line {i}: parse error in {_row_dict(header, row)!r}\n")
                             continue
-                        valid += 1
-                        tail = tails[entry[x < 0][x % 9], entry[y < 0][y % 9],
-                                     entry[z < 0][z % 9]]
-                        if plain:  # each term as it was read: str() would spell it the same
-                            emit(f"line {i}: k={row[ik]} ({row[ix]},{row[iy]},{row[iz]}) "
-                                 f"{tail}")
-                        else:
-                            emit(f"line {i}: k={k} ({x},{y},{z}) {tail}")
-                finally:
-                    out.write("".join(pending))
-                    pending.clear()
+                    if (total := x * x * x + y * y * y + z * z * z) != k:
+                        invalid += 1
+                        write(f"line {i}: k={k} ({x},{y},{z}) "
+                              f"INVALID sum={residues.exact_str(total)}\n")
+                        continue
+                    valid += 1
+                    tail = tails[entry[x < 0][x % 9], entry[y < 0][y % 9], entry[z < 0][z % 9]]
+                    if plain:  # each term as it was read: str() would spell it the same
+                        write(f"line {i}: k={row[ik]} ({row[ix]},{row[iy]},{row[iz]}) {tail}")
+                    else:
+                        write(f"line {i}: k={k} ({x},{y},{z}) {tail}")
     except csv.Error as err:  # e.g. a field over csv.field_size_limit()
         raise ValueError(f"{path}: line {n + reader.line_num}: {err}") from None
     except (UnicodeDecodeError, _NulLine) as err:  # from the line after the last one read

@@ -114,9 +114,10 @@ def utf8_lines(fh):
 
 def per_line_blocks(fh):
     """A stand-in for corpus._blocks(fh): one block, all of utf8_lines(fh),
-    marked as holding a quote, so that corpus.verify reads every record with
-    csv.reader and prints every term from its int."""
-    return iter([(utf8_lines(fh), b'"')])
+    with None for its bytes, as corpus._block marks a block that is not
+    UTF-8.  corpus._split leaves such a block to csv.reader, so corpus.verify
+    reads every record with csv.reader and prints every term from its int."""
+    return iter([(utf8_lines(fh), None)])
 
 
 def search_csv(reps) -> str:

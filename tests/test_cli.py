@@ -809,6 +809,7 @@ def test_split_reads_quote_free_lines_as_csv_reader_does(text, limit):
         assert got is None
     else:
         assert list(got) == want
+    assert cubegraph.corpus._split(lines, None, limit) is None  # a block that is not UTF-8
 
 
 # what int() and str.strip() treat as space, or as a digit, and what they do not
@@ -947,6 +948,28 @@ def test_an_error_mid_run_comes_after_the_lines_already_produced(capsys, monkeyp
     corpus.write_text("k,x,y,z\n29,1,1,3\n29,1,1,3\n")
     assert run(capsys, "verify-corpus", str(corpus)) == \
         (2, "line 2: k=29 (1,1,3) OK class=2 path=0+1+1 signed=0+1+1\n", "error: second row\n")
+
+
+def test_verify_corpus_writes_each_row_as_it_is_checked(monkeypatch, tmp_path):
+    # one block of plain rows: after the header, each record read is written
+    # before the next is read, with no output held back for the block's end
+    events = []
+    real = cubegraph.corpus._split
+
+    def split(lines, data, limit):
+        for record in real(lines, data, limit):
+            events.append("read")
+            yield record
+
+    class Out:
+        def write(self, text):
+            events.append("write")
+
+    monkeypatch.setattr(cubegraph.corpus, "_split", split)
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("k,x,y,z\n29,1,1,3\n35,1,2,3\nk,1,1,3\n")
+    assert cubegraph.corpus.verify(str(corpus), Out()) == (1, 1, 1)
+    assert events == ["read"] + ["read", "write"] * 3
 
 
 def test_verify_corpus_names_the_file_and_line_of_a_byte_that_is_not_utf8(capsys, tmp_path):

@@ -20,12 +20,14 @@ file or a pipe alike.  A run started with stdout closed gets that one
 `error:` line and exit 2; a run started with stderr closed exits as it
 would, with its `error:` line nowhere.  Each subcommand imports its own layer
 (residues, search, debruijn, corpus) when it runs, so a process compiles and
-loads only the modules its subcommand needs.  On its way out entrypoint
-freezes the heap (gc.freeze), so that exit does not free, object by object,
-what the process is about to give back whole.
+loads only the modules its subcommand needs.  For the same reason main reads a
+plain command line by COMMANDS itself: importing argparse (with gettext and
+locale) and building its eight parsers cost about 5 ms a process, so only
+help, a usage error or a spelling that argparse alone reads imports it.  On
+its way out entrypoint freezes the heap (gc.freeze), so that exit does not
+free, object by object, what the process is about to give back whole.
 """
 
-import argparse
 import gc
 import os
 import sys
@@ -177,70 +179,112 @@ def cmd_verify_corpus(args, out) -> int:
     return EXIT_OK if invalid == 0 else EXIT_INVALID
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The one grammar: each subcommand's help, function and (flag, add_argument keywords).
+_GRAPH_FLAGS = [
+    ("--alphabet", {"default": "018", "help": "distinct single-char symbols"}),
+    ("--order", {"type": int, "default": 3}),
+    ("--subgraph", {"choices": ["E0", "E1", "E2"],
+                    "help": "named ternary fixture (overrides alphabet/order)"}),
+]
+COMMANDS = {
+    "classes": ("residue classes 0..8 with their cubic residue triples and signed spellings",
+                cmd_classes, []),
+    "graph": ("emit a De Bruijn graph (or a named subgraph fixture) as DOT", cmd_graph, [
+        *_GRAPH_FLAGS,
+        ("--dot", {"metavar": "FILE", "help": "write DOT here instead of stdout"})]),
+    "cycle": ("print the deterministic De Bruijn / Eulerian cycle of a graph", cmd_cycle,
+              _GRAPH_FLAGS),
+    "validate": ("check a cyclic string's windows against an edge set", cmd_validate, [
+        ("cycle", {"help": "cyclic sequence, e.g. 00010111, or - to read it from stdin "
+                           "(one trailing newline is dropped)"}),
+        ("--alphabet", {"default": "018"}),
+        ("--order", {"type": int, "default": 3}),
+        ("--against", {"choices": ["full", "E0", "E1", "E2"], "default": "full"})]),
+    "search": ("find all representations of one k within a bound", cmd_search, [
+        ("k", {"type": int}),
+        ("--bound", {"type": int, "required": True, "metavar": "B"}),
+        ("--out", {"metavar": "FILE.csv"})]),
+    "scan": ("search every k in an inclusive range", cmd_scan, [
+        ("--from", {"dest": "k_from", "type": int, "required": True, "metavar": "A"}),
+        ("--to", {"dest": "k_to", "type": int, "required": True, "metavar": "B"}),
+        ("--bound", {"type": int, "required": True}),
+        ("--out", {"metavar": "FILE.csv"}),
+        ("--workers", {"type": int, "help": "kept for compatibility; has no effect "
+                                            "(output is identical for any value)"})]),
+    "verify-corpus": ("verify a CSV of claimed solutions with header k,x,y,z",
+                      cmd_verify_corpus, [("corpus", {"metavar": "FILE.csv"})]),
+}
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    """argparse's reading of COMMANDS, the one grammar.  main needs it only
+    for help, a usage error, or a spelling such as an abbreviation, --opt=value,
+    -- or a repeated option: then argparse prints and reads as it always has."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cubegraph",
         description="Mod-9 residue analysis, De Bruijn cycles, and bounded "
                     "search for x^3 + y^3 + z^3 = k.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("classes", help="residue classes 0..8 with their cubic "
-                   "residue triples and signed spellings").set_defaults(func=cmd_classes)
-
-    p = sub.add_parser("graph", help="emit a De Bruijn graph (or a named "
-                       "subgraph fixture) as DOT")
-    _graph_flags(p)
-    p.add_argument("--dot", metavar="FILE", help="write DOT here instead of stdout")
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("cycle", help="print the deterministic De Bruijn / "
-                       "Eulerian cycle of a graph")
-    _graph_flags(p)
-    p.set_defaults(func=cmd_cycle)
-
-    p = sub.add_parser("validate", help="check a cyclic string's windows "
-                       "against an edge set")
-    p.add_argument("cycle", help="cyclic sequence, e.g. 00010111, or - to read it "
-                                 "from stdin (one trailing newline is dropped)")
-    p.add_argument("--alphabet", default="018")
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--against", choices=["full", "E0", "E1", "E2"], default="full")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("search", help="find all representations of one k "
-                       "within a bound")
-    p.add_argument("k", type=int)
-    p.add_argument("--bound", type=int, required=True, metavar="B")
-    p.add_argument("--out", metavar="FILE.csv")
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("scan", help="search every k in an inclusive range")
-    p.add_argument("--from", dest="k_from", type=int, required=True, metavar="A")
-    p.add_argument("--to", dest="k_to", type=int, required=True, metavar="B")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--out", metavar="FILE.csv")
-    p.add_argument("--workers", type=int, default=None,
-                   help="kept for compatibility; has no effect (output is "
-                        "identical for any value)")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("verify-corpus", help="verify a CSV of claimed "
-                       "solutions with header k,x,y,z")
-    p.add_argument("corpus", metavar="FILE.csv")
-    p.set_defaults(func=cmd_verify_corpus)
+    for name, (summary, func, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
-def _graph_flags(p):
-    p.add_argument("--alphabet", default="018", help="distinct single-char symbols")
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--subgraph", choices=["E0", "E1", "E2"],
-                   help="named ternary fixture (overrides alphabet/order)")
+class _Args: """The attributes an argparse.Namespace would hold, without argparse."""
+
+
+def _is_value(token) -> bool:
+    """Whether argparse, on every Python from 3.10, reads token as an argument
+    and never as an option string.  It does for - alone, for a token that does
+    not start with -, and, as no option string here looks like a negative
+    number, for one that its rule '^-\\d+$|^-\\d*\\.\\d+$' (3.10-3.13; 3.14 takes
+    more) matches.  \\d is any Unicode decimal, as str.isdecimal is, and
+    isdecimal also refuses the newline that $ lets end the token."""
+    whole, dot, part = token[1:].partition(".")
+    return token[:1] != "-" or token == "-" or (whole + part).isdecimal() and bool(part or not dot)
+
+
+def _read_plain(argv):
+    """argparse's args for a plain argv, else None: a subcommand's name, then
+    its exact option strings, each once with a value, and its positionals;
+    each value of its type and choices, and every required option given."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, arguments = COMMANDS[argv[0]]
+    names = (flag for flag, _ in arguments if flag[0] != "-")
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        if _is_value(token):  # the next positional; None past the last, and left in given
+            token, value = next(names, None), token
+        elif token in given or not _is_value(value := next(tokens, "--")):
+            return None
+        given[token] = value
+    args = _Args()
+    args.command, args.func = argv[0], func
+    for flag, keywords in arguments:
+        value = keywords.get("default")
+        if flag in given:
+            try:
+                value = keywords.get("type", str)(given.pop(flag))
+            except (TypeError, ValueError):
+                return None
+            if value not in keywords.get("choices", [value]):
+                return None
+        elif keywords.get("required", flag[0] != "-"):  # argparse requires a positional
+            return None
+        # argparse's dest: a positional's name, or an option's flag undashed
+        dest = flag.lstrip("-").replace("-", "_") if flag[0] == "-" else flag
+        setattr(args, keywords.get("dest", dest), value)
+    return None if given else args  # a token left is no option of this subcommand
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _read_plain(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     try:
         try:
             return args.func(args, sys.stdout)
@@ -269,8 +313,8 @@ def entrypoint():
     if code == EXIT_CLOSED_STDOUT:
         # the interpreter flushes stdout once more on exit: let that write go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    # Exit would walk and free the ~12,000 GC-tracked objects that site,
-    # argparse and the layers made, only to hand the memory back to the OS.
+    # Exit would walk and free the ~12,000 GC-tracked objects that site
+    # and the layers made, only to hand the memory back to the OS.
     # Frozen objects are left out of the interpreter's last collection: that
     # saves 4-6 ms a process (`classes` 45.2 -> 40.6 ms, `python -c pass`
     # 37.1 -> 33.1 ms, medians of 40 alternating CLI runs, CPython 3.11 on a

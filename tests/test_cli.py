@@ -141,6 +141,27 @@ def test_benchmark_oracle_replays_in_process(capsys):
             (want["code"], want["sha256"]), command
 
 
+def _no_argparse():
+    raise AssertionError("a plain command line built the argparse parser")
+
+
+def test_benchmark_runs_read_their_command_lines_without_argparse(capsys, monkeypatch, tmp_path):
+    # every oracle command, and the validate and verify-corpus steps, as the
+    # benchmark runs them: each gives its recorded result with no parser built
+    corpus = _good_corpus(tmp_path / "c.csv", 100)
+    replays = {command: (want["code"], want["sha256"]) for command, want in
+               json.loads(ORACLE.read_text(encoding="utf-8")).items()}
+    for command in (f"validate {'0110' * 4} --alphabet 01 --order 16", f"verify-corpus {corpus}"):
+        args = cli.build_parser().parse_args(command.split())
+        code = args.func(args, sys.stdout)
+        out = capsys.readouterr().out
+        replays[command] = (code, hashlib.sha256(out.encode("utf-8")).hexdigest())
+    monkeypatch.setattr(cli, "build_parser", _no_argparse)
+    for command, want in replays.items():
+        code, out, _ = run(capsys, *command.split())
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == want, command
+
+
 def test_benchmark_traced_pass_runs_at_smoke_size(monkeypatch, tmp_path):
     # the in-process pass of `perfbench/run.py --trace 1`, which wraps the
     # package's public functions and reads their results, on every workload
@@ -1318,6 +1339,7 @@ def test_cli_imports_only_the_standard_library():
     assert "pathlib" not in modules  # nothing the CLI imports needs it
     assert "dataclasses" not in modules  # it pulls in inspect: tens of ms per start
     assert "inspect" not in modules
+    assert "argparse" not in modules  # build_parser imports it, for help and errors
 
 
 def test_each_subcommand_loads_only_its_own_layer(tmp_path):
@@ -1341,6 +1363,50 @@ def test_each_subcommand_loads_only_its_own_layer(tmp_path):
         proc = subprocess.run([sys.executable, "-c", code, *argv], stdout=subprocess.DEVNULL,
                               stderr=subprocess.PIPE, text=True, env=_cli_env(False), timeout=60)
         assert (proc.returncode, proc.stderr) == (0, loaded + "\n"), argv
+
+
+def test_a_plain_command_line_imports_no_argparse(tmp_path):
+    # argparse imports gettext and builds eight parsers: a plain run needs neither
+    corpus = _good_corpus(tmp_path / "c.csv", 10)
+    code = ("import sys; from cubegraph import cli; cli.main(sys.argv[1:]); print(' '.join("
+            "m for m in ('argparse', 'gettext') if m in sys.modules), file=sys.stderr)")
+    for argv in [
+        ("classes",),
+        ("graph", "--order", "2"),
+        ("cycle", "--alphabet", "01"),
+        ("validate", "0110", "--alphabet", "01", "--order", "2"),
+        ("search", "-33", "--bound", "20"),
+        ("scan", "--from", "1", "--to", "9", "--bound", "9", "--workers", "2"),
+        ("verify-corpus", str(corpus)),
+    ]:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, env=_cli_env(False), timeout=60)
+        assert proc.stderr == "\n", argv
+
+
+# every option string of every subcommand, and tokens that argparse reads in
+# its own way: help, abbreviations, --opt=value, --, negative numbers by its
+# rule and near misses of it, padded and Unicode ints, choices and non-choices
+CLI_TOKENS = sorted({flag for _, _, arguments in cli.COMMANDS.values() for flag, _ in arguments}
+                    | {"-h", "--help", "--bou", "--al", "--fr", "--bound=5", "--order=2",
+                       "--", "-", "-5", "-.5", "-1.", "-1e5", "-٣", "-5\n", "-x", "", " 7",
+                       "1_000", "3", "٣", "2", "16", "01", "0110", "x", "E0", "E1", "E9",
+                       "full", "search"})
+
+
+@settings(deadline=None, max_examples=1000)
+@given(st.sampled_from(sorted(cli.COMMANDS)), st.lists(st.sampled_from(CLI_TOKENS), max_size=8))
+@example("search", ["33", "--bound", "2500"])
+@example("scan", ["--from", "1", "--to", "300", "--bound", "300", "--workers", "2"])
+@example("cycle", ["--alphabet", "01", "--order", "16"])
+@example("validate", ["0110", "--alphabet", "01", "--order", "16"])
+@example("verify-corpus", ["corpus.csv"])
+def test_the_plain_reader_agrees_with_argparse(command, tokens):
+    # main reads a command line itself only when argparse reads it the same
+    argv = [command, *tokens]
+    args = cli._read_plain(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
 
 
 def test_the_package_imports_only_the_standard_library():

@@ -3,8 +3,8 @@
 Two algorithms, one per query shape.  One k (`search_k`) uses the divisor
 method: x + y divides k - z^3, so only the d = |x + y| for which k is a cube
 mod d are walked, and for each only the cube roots of k mod d are tried as z,
-within the window of z that |x - y| <= 2B - d leaves.  A window of k
-(`iter_scan`) uses one sweep: the cube table is built once, and for each z in
+up to the 4(d + k^(1/3)) that z >= y allows.  A window of k (`iter_scan`)
+uses one sweep: the cube table is built once, and for each z in
 [-B, B] it collects every pair x <= y <= z whose x^3 + y^3 falls in
 [k_lo - z^3, k_hi - z^3], probing only the x whose pair sums can reach it and
 finding each x's largest y by bisection.  So the whole window costs about
@@ -36,9 +36,9 @@ from .residues import CUBIC_RESIDUES, TWO_CUBE_CLASSES, is_feasible, label_solut
 # The cap on `search` (one k, divisor method).  Its worst cases are k = 0 and
 # the cubes: z^3 = k mod d has many roots when k shares small prime factors
 # with d, and they have about B + 1 hits, each rechecked and printed.  At the
-# cap, `search 0 --bound 100000` took 2.9-3.6 s at 45.3 MB peak RSS (3.35M
-# candidates), `search 27000 --bound 100000` (30^3) 3.4-3.8 s at 44.3 MB
-# (3.9M), and `search 33 --bound 100000` 0.35-0.37 s at 21.7 MB (0.30M, no
+# cap, `search 0 --bound 100000` took 2.4-2.9 s at 45.6 MB peak RSS (2.80M
+# candidates), `search 27000 --bound 100000` (30^3) 2.7-3.5 s at 44.9 MB
+# (3.2M), and `search 33 --bound 100000` 0.28-0.34 s at 21.6 MB (0.22M, no
 # hits; CLI runs on one core of a shared 2-vCPU x86-64 machine, CPython 3.11).
 MAX_SEARCH_BOUND = 100_000
 
@@ -99,12 +99,13 @@ class Representation(namedtuple("Representation", "x y z k path")):
 
 class SearchStats(namedtuple("SearchStats", "pairs_scanned z_pruned", defaults=(0, 0))):
     """Work counts of one `search_k`.  A candidate is a live d and a z in
-    d's window with d | k - z^3, and 3d | k - z^3 when 3 | d (see
-    search_k): `pairs_scanned` is the candidates that reached the
-    perfect-square test, and `z_pruned` those the mod-9 sieve dropped
-    before it.  Both are 0 for a k skipped as infeasible.  A scan
-    has no SearchStats, since its sweep shares its work across k: `_sweep`
-    returns its own two counts, x values probed and z values pruned."""
+    d's window, [-B, B] less the z below -d/2 or above 4d + reach, with
+    d | k - z^3, and 3d | k - z^3 when 3 | d (see search_k):
+    `pairs_scanned` is the candidates that reached the perfect-square test,
+    and `z_pruned` those the mod-9 sieve dropped before it.  Both are 0 for
+    a k skipped as infeasible.  A scan has no SearchStats, since its sweep
+    shares its work across k: `_sweep` returns its own two counts, x values
+    probed and z values pruned."""
 
     __slots__ = ()
 
@@ -159,18 +160,6 @@ def _prime_sieve(n: int) -> bytearray:
         if is_prime[p]:
             is_prime[p * p::p] = bytes(len(range(p * p, n + 1, p)))
     return is_prime
-
-
-def _icbrt(n: int) -> int:
-    """The largest z with z^3 <= n: a float estimate, made exact with integer cubes."""
-    z = round(abs(n) ** (1 / 3))
-    if n < 0:
-        z = -z
-    while z * z * z > n:
-        z -= 1
-    while (z + 1) ** 3 <= n:
-        z += 1
-    return z
 
 
 def _cube_roots_mod_prime_powers(k: int, p: int, top: int) -> list[tuple[int, list[int]]]:
@@ -234,24 +223,31 @@ def search_k(k: int, B: int) -> SearchResult:
     z^3 mod 3^(a+1) depends only on z mod 3^a.  So 3^a's roots are the r
     with r^3 = k (mod 3^(a+1)).  Cubes are 0 or +-1 mod 9, so for any other
     k mod 9 (k = 2, 3, 33, 42) no d divisible by 3 is walked.
-    4|k - z^3| = d(d^2 + 3(x - y)^2) and |x - y| <= 2B - d, so for
-    each d, z steps by d from each root through the exact window
-    4|k - z^3| <= d(3(2B - d)^2 + d^2), less the z outside [-B, B] or below
-    -d/2, which cannot be the largest term.  Then x + y = d sign(k - z^3),
-    xy = (d^2 - q) / 3 with q = |k - z^3| / d, and x, y are the roots of a
-    quadratic whose discriminant (4q - d^2) / 3 must be a perfect square.
-    Only hits with z the largest term are kept, so each multiset comes out
-    once.  d = 0 leaves z^3 = k and the family (-t, t, z).  A k beyond 3B^3
-    comes back empty without work: no box sum reaches it."""
+    For each d, z steps by d from each root through [-B, B], less the z
+    below -d/2 or above 4d + reach, which cannot be the largest term; reach
+    is 4(c + 1), c = round(k^(1/3)), for k > 0 and 0 otherwise.  With
+    t = y - x, 4|k - z^3| = d(d^2 + 3t^2).  A hit with z^3 < k has
+    z < k^(1/3), and z < 0 if k <= 0.  A hit with z^3 > k has x + y = -d,
+    and y <= z, that is t <= 2z + d, reads 2z^3 - (z + d)^3 <= k.  As
+    A^3 - C^3 >= (A - C)^3 for A >= C >= 0, A = 2^(1/3) z and C = z + d
+    show that this fails once (2^(1/3) - 1) z > d + max(k, 0)^(1/3), so
+    z <= 3.85 (d + max(k, 0)^(1/3)) < 4d + reach.  Then
+    x + y = d sign(k - z^3), xy = (d^2 - q) / 3 with q = |k - z^3| / d, and
+    x, y are the roots of a quadratic whose discriminant (4q - d^2) / 3 = t^2
+    must be a perfect square.  Only hits with z the largest term are kept,
+    so each multiset comes out once.  d = 0 leaves z^3 = k and the family
+    (-t, t, z).  A k beyond 3B^3 comes back empty without work: no box sum
+    reaches it."""
     _check_bound(B, MAX_SEARCH_BOUND)
     if not is_feasible(k):
         return SearchResult(k, (), True, SearchStats())
     if abs(k) > 3 * B ** 3:
         return SearchResult(k, (), False, SearchStats())
     hits = []
-    c = round(k ** (1 / 3)) if 0 <= k <= B ** 3 else 0
-    if c ** 3 == k:  # d = 0: x = -y, and z = c is the largest term for 0 <= y <= c
+    c = round(k ** (1 / 3)) if k > 0 else 0  # |k| <= 3B^3 fits a float
+    if c ** 3 == k and c <= B:  # d = 0: x = -y, and z = c is the largest term for 0 <= y <= c
         hits.extend((-t, t, c) for t in range(c + 1))
+    reach = 4 * (c + 1) if k > 0 else 0  # at least 4 k^(1/3)
     top = 2 * B
     live = [powers for p in compress(range(top + 1), _prime_sieve(top))
             if (powers := _cube_roots_mod_prime_powers(k, p, top))]
@@ -268,12 +264,7 @@ def search_k(k: int, B: int) -> SearchResult:
                 inv = pow(d, -1, pe)
                 crt = [r + d * ((u - r) * inv % pe) for r in roots for u in pe_roots]
                 stack.append((d * pe, crt, j + 1))
-        w = d * (3 * (top - d) ** 2 + d * d) // 4  # the window is k - w <= z^3 <= k + w
-        lo, hi = max(-B, -(d // 2)), B  # z >= y >= x and x + y >= -d
-        if lo ** 3 < k - w:
-            lo = -_icbrt(w - k)
-        if hi ** 3 > k + w:
-            hi = _icbrt(k + w)
+        lo, hi = max(-B, -(d // 2)), min(B, reach + 4 * d)  # z >= y >= x, x + y >= -d
         for r in roots:
             for z in range(lo + (r - lo) % d, hi + 1, d):
                 n = k - z * z * z

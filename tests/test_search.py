@@ -242,12 +242,13 @@ def test_sweep_cost_model(b):
 def test_divisor_cost_model(k, b):
     # a candidate is a d in 1..2b and a z in [-b, b], z >= -d/2, with d | k - z^3
     # (3d | k - z^3 when 3 | d, since then 3 | x^2 - xy + y^2) and
-    # 4|k - z^3| <= d(3(2b - d)^2 + d^2), since |x - y| <= 2b - d; the
-    # mod-9 sieve drops those whose k - z^3 no two cubes reach.  A k beyond
-    # 3b^3, which no box sum reaches, has none
+    # z <= 4d + reach, since z >= y (reach is 4(round(k^(1/3)) + 1) for k > 0
+    # and 0 otherwise); the mod-9 sieve drops those whose k - z^3 no two
+    # cubes reach.  A k beyond 3b^3, which no box sum reaches, has none
+    reach = 4 * (round(k ** (1 / 3)) + 1) if k > 0 else 0
     candidates = [z for d in range(1, 2 * b + 1) for z in range(max(-b, -(d // 2)), b + 1)
                   if (k - z ** 3) % (3 * d if d % 3 == 0 else d) == 0
-                  and 4 * abs(k - z ** 3) <= d * (3 * (2 * b - d) ** 2 + d * d)
+                  and z <= 4 * d + reach
                   ] if abs(k) <= 3 * b ** 3 else []
     stats = search_k(k, b).stats
     assert stats.pairs_scanned + stats.z_pruned == len(candidates)
@@ -348,7 +349,9 @@ def test_scan_range_matches_oracle_property(bound, start, width):
 @example(-64_000, 60)  # a cube whose root is negative
 @example(3 * 60 ** 3, 60)  # the largest sum the box reaches, (60, 60, 60) alone
 @example(-3 * 60 ** 3, 60)
-@example(3 * 60 ** 3 - 1, 60)  # one below it: at d = 120 the window is z = 60 alone
+@example(3 * 60 ** 3 - 1, 60)  # one below it: no hit, and reach = 352 walks each d's z up to B
+@example(-376, 126)  # the hit (-126, 100, 100) has z > 3.8d with d = 26: the factor 4 is needed
+@example(34, 6)  # the hit (-6, 5, 5) has z > 4d with d = 1: the k^(1/3) term is needed
 def test_divisor_search_matches_the_sweep(k, bound):
     assert [(k, *t) for t in found_triples(search_k(k, bound))] == swept_hits(k, k, bound)
 
@@ -415,17 +418,6 @@ def test_prime_sieve_matches_trial_division():
         assert len(is_prime) == n + 1
         assert [m for m in range(n + 1) if is_prime[m]] == \
             [m for m in range(2, n + 1) if all(m % q for q in range(2, isqrt(m) + 1))], n
-
-
-@settings(max_examples=300)
-@given(st.integers(-200_000, 200_000), st.integers(-1, 1))
-@example(200_000, -1)
-@example(-200_000, 1)
-def test_integer_cube_root_is_exact_next_to_a_cube(t, offset):
-    # the window ends come from float cube roots, corrected with exact cubes
-    n = t ** 3 + offset
-    z = search_module._icbrt(n)
-    assert z ** 3 <= n < (z + 1) ** 3
 
 
 def _cube_roots_by_trial(m, n=None):

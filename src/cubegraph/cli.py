@@ -149,21 +149,22 @@ def cmd_search(args, out) -> int:
 
 
 def cmd_scan(args, out) -> int:
-    from . import search
+    from . import residues, search
 
     if args.k_from > args.k_to:
         raise ValueError(f"--from {args.k_from} is greater than --to {args.k_to}")
     bounds = search.SearchBounds(args.bound, (args.k_from, args.k_to))
     found = _write_csv(out, args.out, search.iter_scan(bounds))  # each row as it comes
     # which k are infeasible depends on the range alone: a second pass names
-    # them, base + 4 and base + 5 (classes 4 and 5) for each multiple of 9, base
+    # them, base + c for each infeasible class c and each multiple of 9, base
     ks = range(args.k_from, args.k_to + 1)
     skipped = 0
+    classes = sorted(residues.INFEASIBLE_CLASSES)
     for base in range(args.k_from - args.k_from % 9, args.k_to + 1, 9):
-        for k in (base + 4, base + 5):
-            if k in ks:
+        for c in classes:
+            if base + c in ks:
                 skipped += 1
-                out.write(f"k={k}: infeasible (class {k - base})\n")
+                out.write(f"k={base + c}: infeasible (class {c})\n")
     out.write(f"scanned {len(ks)} value(s) of k: {found} representation(s), "
               f"{skipped} infeasible\n")
     return EXIT_OK

@@ -1285,7 +1285,7 @@ def test_search_bound_cap(capsys):
 
 
 def test_scan_bound_cap(capsys, monkeypatch):
-    monkeypatch.setattr(search, "_sweep", lambda k_lo, k_hi, B: ([], 0, 0))  # no hits, no work
+    monkeypatch.setattr(search, "_sweep", lambda k_lo, k_hi, B: ([], 0))  # no hits, no work
     cap = search.MAX_SCAN_BOUND
     code, out, err = run(capsys, "scan", "--from", "4", "--to", "5", "--bound", str(cap))
     assert (code, err) == (0, "")

@@ -215,12 +215,10 @@ def test_bounds_cap_the_scan_width(lo):
 
 
 def probed_x(k_lo, k_hi, b):
-    """The x values the sweep probes, counted by brute force: for each z the
-    mod-9 sieve keeps (only a width-1 window prunes), every x <= z whose pair
-    sums x^3 + y^3 with x <= y <= z, which run from 2x^3 to x^3 + z^3, can
-    reach the window [k_lo - z^3, k_hi - z^3]."""
+    """The x values the sweep probes, counted by brute force: for each z,
+    every x <= z whose pair sums x^3 + y^3 with x <= y <= z, which run from
+    2x^3 to x^3 + z^3, can reach the window [k_lo - z^3, k_hi - z^3]."""
     return sum(1 for z in range(-b, b + 1)
-               if k_lo != k_hi or (k_lo - z ** 3) % 9 in TWO_CUBE_CLASSES
                for x in range(-b, z + 1)
                if x ** 3 + z ** 3 >= k_lo - z ** 3 and 2 * x ** 3 <= k_hi - z ** 3)
 
@@ -231,23 +229,30 @@ def test_sweep_cost_model(b):
     # pair sums can reach the window.  MAX_SCAN_BOUND's worst-case runtime
     # rests on this count
     for k in range(-40, 41):
-        _, probes, pruned = search_module._sweep(k, k, b)
+        _, probes = search_module._sweep(k, k, b)
         assert probes == probed_x(k, k, b), k
         assert probes <= (2 * b + 1) * (2 * b + 2) // 2
-        assert pruned == sum((k - z ** 3) % 9 not in TWO_CUBE_CLASSES for z in range(-b, b + 1))
 
 
 @pytest.mark.parametrize("b", [1, 2, 5, 17])
 @pytest.mark.parametrize("k", [0, 2, 29, -33])
 def test_divisor_cost_model(k, b):
-    # a candidate is a d in 1..2b and a z in [-b, b], z >= -d/2, with d | k - z^3
-    # (3d | k - z^3 when 3 | d, since then 3 | x^2 - xy + y^2) and
-    # z <= 4d + reach, since z >= y (reach is 4(round(k^(1/3)) + 1) for k > 0
-    # and 0 otherwise); the mod-9 sieve drops those whose k - z^3 no two
-    # cubes reach.  A k beyond 3b^3, which no box sum reaches, has none
-    reach = 4 * (round(k ** (1 / 3)) + 1) if k > 0 else 0
-    candidates = [z for d in range(1, 2 * b + 1) for z in range(max(-b, -(d // 2)), b + 1)
+    # a candidate is a d in 1..2b and a z in [-b, b] with d | k - z^3
+    # (3d | k - z^3 when 3 | d, since then 3 | x^2 - xy + y^2) that z, the
+    # largest term, allows, each bound with search_k's margin: 3z^3 >= k, so
+    # z >= round((k/3)^(1/3)) - 1 for k > 0; z >= d/2 when 8k + d^3 >= 0 and
+    # z >= -d/2 otherwise; z <= 4d + reach (reach is 4(c + 1) for k > 0 and 0
+    # otherwise, c = round(k^(1/3))); and d^3 <= 4(b^3 - k) or d <= 2c + 1, so
+    # d <= max(2c + 2, int((4(b^3 - k))^(1/3)) + 1).  The mod-9 sieve drops
+    # those whose k - z^3 no two cubes reach.  A k beyond 3b^3, which no box
+    # sum reaches, has none
+    c = round(k ** (1 / 3)) if k > 0 else 0
+    reach = 4 * (c + 1) if k > 0 else 0
+    zmin = round((k / 3) ** (1 / 3)) - 1 if k > 0 else -b
+    top = max(2 * c + 2, int(max(0, 4 * (b ** 3 - k)) ** (1 / 3)) + 1)
+    candidates = [z for d in range(1, min(2 * b, top) + 1) for z in range(zmin, b + 1)
                   if (k - z ** 3) % (3 * d if d % 3 == 0 else d) == 0
+                  and 2 * z >= (d if 8 * k + d ** 3 >= 0 else -d)
                   and z <= 4 * d + reach
                   ] if abs(k) <= 3 * b ** 3 else []
     stats = search_k(k, b).stats
@@ -313,13 +318,13 @@ def test_search_matches_oracle_property(k, bound):
 def test_search_stats_count_the_same_work_for_any_hit_count():
     # a hit costs no probe: k = 0 at b = 30 has 31 hits and a wide window
     # thousands, yet each count is the brute-force one
-    assert search_module._sweep(29, 29, 20)[1:] == (59, 14)
-    assert search_module._sweep(0, 0, 30)[1:] == (193, 0)
-    assert search_module._sweep(1, 300, 300)[1:] == (18_680, 0)
+    assert search_module._sweep(29, 29, 20)[1] == probed_x(29, 29, 20) == 88
+    assert search_module._sweep(0, 0, 30)[1] == probed_x(0, 0, 30) == 193
+    assert search_module._sweep(1, 300, 300)[1] == 18_680
     reach = 3 * 25 ** 3
     for k_lo, k_hi in [(-40, 40), (1, 300), (-reach, -reach + 500), (reach - 2000, reach),
                        (-1000, -1)]:
-        assert search_module._sweep(k_lo, k_hi, 25)[1:] == (probed_x(k_lo, k_hi, 25), 0)
+        assert search_module._sweep(k_lo, k_hi, 25)[1] == probed_x(k_lo, k_hi, 25)
     # the whole reach probes every x <= z: the upper bound is met
     assert search_module._sweep(-reach, reach, 25)[1] == (2 * 25 + 1) * (2 * 25 + 2) // 2
 
@@ -352,6 +357,8 @@ def test_scan_range_matches_oracle_property(bound, start, width):
 @example(3 * 60 ** 3 - 1, 60)  # one below it: no hit, and reach = 352 walks each d's z up to B
 @example(-376, 126)  # the hit (-126, 100, 100) has z > 3.8d with d = 26: the factor 4 is needed
 @example(34, 6)  # the hit (-6, 5, 5) has z > 4d with d = 1: the k^(1/3) term is needed
+@example(-249, 5)  # the hit (-5, -5, 1) has z < d/2 with 8k + d^3 < 0
+@example(-3, 5)  # the hit (-4, -4, 5) has d^3 = 4(B^3 - k) exactly: the last d is walked
 def test_divisor_search_matches_the_sweep(k, bound):
     assert [(k, *t) for t in found_triples(search_k(k, bound))] == swept_hits(k, k, bound)
 
@@ -396,6 +403,22 @@ def test_search_beyond_every_box_sum_returns_at_once(monkeypatch, b):
     for k in (reach + 1, reach + 2, -reach - 1, -reach - 2, 10 ** 39 + 1):
         result = search_k(k, b)
         assert (result.representations, result.skipped) == ((), not is_feasible(k))
+
+
+def test_one_k_scan_is_one_divisor_search(monkeypatch):
+    # a window of one k is search_k's query: the scan makes one call and no sweep
+    b = 5
+    reach = 3 * b ** 3
+    search, calls = search_module.search_k, []
+    monkeypatch.setattr(search_module, "search_k",
+                        lambda k, B: calls.append((k, B)) or search(k, B))
+    monkeypatch.setattr(search_module, "_sweep", _no_work)
+    for k in (0, 1, 4, 33, -33, 64, reach, reach + 1):
+        calls.clear()
+        rows = list(iter_scan(SearchBounds(b, (k, k))))
+        assert calls == [(k, b)]
+        assert rows == list(search(k, b).representations), k
+        assert scanned(rows) == [(k, *t) for t in oracle_search(k, b)], k
 
 
 def test_scan_sweeps_only_the_k_a_box_reaches(monkeypatch):
